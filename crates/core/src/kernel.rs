@@ -10,6 +10,7 @@
 //!   node statistics (Lemmas 2 and 5),
 //! * the scalar [`Curve`] through which the kernel evaluates.
 
+use karl_geom::simd::{self, LeafKernel};
 use karl_geom::{dist2, dot, norm2, BoundingShape};
 use karl_tree::NodeStats;
 
@@ -160,6 +161,11 @@ impl Kernel {
     /// Exact `K(q, p)` using precomputed squared norms, the expansion
     /// `dist² = ‖q‖² − 2·q·p + ‖p‖²` (only the Gaussian kernel needs the
     /// norms; the others reduce to the dot product anyway).
+    ///
+    /// This per-point form uses libm `exp`, and [`aggregate_exact`] sums
+    /// it as an independent oracle. Leaf scans go through
+    /// [`eval_range`](Self::eval_range) instead, whose lane `exp` stays
+    /// within 2 ulp of this one per term.
     #[inline]
     pub fn eval_cached(&self, q: &[f64], q_norm2: f64, p: &[f64], p_norm2: f64) -> f64 {
         match *self {
@@ -224,12 +230,15 @@ impl Kernel {
     /// range `[start, end)` of a reordered point buffer, using the cached
     /// squared norms. This is the refinement step applied to leaves.
     ///
-    /// The loop is unrolled 4-wide with independent partial sums: the four
-    /// kernel evaluations per block carry no dependency on each other, so
-    /// the accumulator chain stops serializing the floating-point adds and
-    /// LLVM can keep the `O(d)` dot products vectorized. The blocked
-    /// summation order is fixed (it is part of the determinism guarantee:
-    /// batch and sequential execution share this exact code path).
+    /// The whole range is one call to [`simd::leaf_sum_with`], so the
+    /// backend is dispatched once per leaf rather than once per point.
+    /// That kernel keeps four points in flight, gives every point the
+    /// canonical `d²` of [`dot`], and evaluates Gaussian and Laplacian
+    /// terms with the in-repo lane `exp` (at most 2 ulp from a correctly
+    /// rounded `exp`, DESIGN §10). Its point order and blocked summation
+    /// are fixed and identical on every backend, which is part of the
+    /// determinism guarantee: batch, sequential, scalar and AVX2 execution
+    /// all share this one path.
     ///
     /// # Panics
     /// Panics in debug builds if the range or buffer lengths are
@@ -249,22 +258,35 @@ impl Kernel {
         debug_assert!(start <= end && end <= points.len(), "range out of bounds");
         debug_assert_eq!(weights.len(), points.len(), "weights length mismatch");
         debug_assert_eq!(norms2.len(), points.len(), "norms2 length mismatch");
-        let w = &weights[start..end];
-        let n2 = &norms2[start..end];
-        let blocks = w.len() / 4 * 4;
-        let mut acc = [0.0f64; 4];
-        for j in (0..blocks).step_by(4) {
-            let i = start + j;
-            acc[0] += w[j] * self.eval_cached(q, q_norm2, points.point(i), n2[j]);
-            acc[1] += w[j + 1] * self.eval_cached(q, q_norm2, points.point(i + 1), n2[j + 1]);
-            acc[2] += w[j + 2] * self.eval_cached(q, q_norm2, points.point(i + 2), n2[j + 2]);
-            acc[3] += w[j + 3] * self.eval_cached(q, q_norm2, points.point(i + 3), n2[j + 3]);
+        let d = points.dims();
+        simd::leaf_sum_with(
+            simd::backend(),
+            self.leaf_kernel(),
+            &points.as_slice()[start * d..end * d],
+            &weights[start..end],
+            &norms2[start..end],
+            q,
+            q_norm2,
+        )
+    }
+
+    /// This kernel as the per-point function of a leaf scan.
+    #[inline]
+    fn leaf_kernel(&self) -> LeafKernel {
+        match *self {
+            Kernel::Gaussian { gamma } => LeafKernel::Gaussian { gamma },
+            Kernel::Laplacian { gamma } => LeafKernel::Laplacian { gamma },
+            Kernel::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => LeafKernel::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            },
+            Kernel::Sigmoid { gamma, coef0 } => LeafKernel::Sigmoid { gamma, coef0 },
         }
-        let mut tail = 0.0;
-        for j in blocks..w.len() {
-            tail += w[j] * self.eval_cached(q, q_norm2, points.point(start + j), n2[j]);
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
     }
 
     /// The `γ` parameter common to all kernels.

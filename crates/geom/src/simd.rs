@@ -2,10 +2,11 @@
 //! contract.
 //!
 //! Every hot reduction in the workspace — `dist²`/`dot`/`norm²`, the fused
-//! per-node probes, the dual-tree pair kernels, and the build-time weighted
-//! sums and corner min/max sweeps — runs through this module. Each kernel
-//! has exactly **one** generic body written over a 4-lane abstraction
-//! ([`Lanes`]) and two backends:
+//! per-node probes, the dual-tree pair kernels, the build-time weighted
+//! sums and corner min/max sweeps, and the leaf-sum kernel with its lane
+//! `exp` — runs through this module. Each kernel has exactly **one**
+//! generic body written over a 4-lane abstraction ([`Lanes`]) and two
+//! backends:
 //!
 //! * **scalar** — `[f64; 4]`, applying every lane operation element by
 //!   element in lane order, and
@@ -14,14 +15,17 @@
 //!
 //! **Determinism contract.** The 4-wide blocked-accumulator order
 //! established by `dist`/`fused` is canonical: lane `k` sums the terms at
-//! coordinates `k, k+4, k+8, …` and the horizontal reduction is always the
-//! scalar `(acc0+acc1) + (acc2+acc3) + tail`, with the tail coordinates
-//! (`d % 4`) handled by shared scalar code. The SIMD lanes map 1:1 onto
-//! those four accumulators, and **no FMA contraction is used** — every
-//! vector operation is the same IEEE-754 add/sub/mul/div the scalar lane
-//! performs, so the two backends produce bitwise-identical results for
-//! finite inputs (the validated entry points upstream reject non-finite
-//! data). `min`/`max` follow the SSE/AVX selection rule
+//! coordinates `k, k+4, k+8, …` and the horizontal reduction is always
+//! `(acc0+acc1) + (acc2+acc3) + tail` (in scalar code, or as the same adds
+//! in vector form when four reductions finish at once), with the tail
+//! coordinates (`d % 4`) handled by shared scalar code. The SIMD lanes map
+//! 1:1 onto those four accumulators, and **no FMA contraction is used** —
+//! every vector operation is the same IEEE-754 add/sub/mul/div/sqrt or bit
+//! operation the scalar lane performs, so the two backends produce
+//! bitwise-identical results for finite inputs (the validated entry points
+//! upstream reject non-finite data). The leaf kernels' `exp` is built from
+//! those operations too (`exp_lanes`), so it is part of the contract.
+//! `min`/`max` follow the SSE/AVX selection rule
 //! `a OP b ? a : b` (second operand on ties and NaN) in *both* backends;
 //! the rule differs from `f64::min`/`f64::max` only on signed zeros and
 //! NaNs, neither of which can change any accumulated sum.
@@ -261,6 +265,12 @@ trait Lanes: Copy {
     fn and(self, o: Self) -> Self;
     /// Lanewise `mask-sign-bit ? t : f` (the `blendv` rule).
     fn select(mask: Self, t: Self, f: Self) -> Self;
+    /// Lanewise correctly rounded `√a`.
+    fn sqrt(self) -> Self;
+    /// Lanewise bit pattern shifted left by 52: the low 12 bits of the
+    /// significand become the sign and exponent field (the exponent
+    /// scaling step of [`exp_lanes`]).
+    fn shl52(self) -> Self;
     /// The four lane values, in lane order.
     fn to_array(self) -> [f64; 4];
 
@@ -270,6 +280,20 @@ trait Lanes: Copy {
     fn hsum(self, tail: f64) -> f64 {
         let l = self.to_array();
         (l[0] + l[1]) + (l[2] + l[3]) + tail
+    }
+
+    /// Four canonical reductions at once: lane `k` of the result is
+    /// `acc[k].hsum(tail[k])`, with the same pairing and the same adds.
+    #[inline(always)]
+    fn hsum4(acc: [Self; 4], tail: Self) -> Self {
+        let t = tail.to_array();
+        let r = [
+            acc[0].hsum(t[0]),
+            acc[1].hsum(t[1]),
+            acc[2].hsum(t[2]),
+            acc[3].hsum(t[3]),
+        ];
+        Self::load(&r, 0)
     }
 }
 
@@ -378,6 +402,19 @@ impl Lanes for ScalarLanes {
     }
 
     #[inline(always)]
+    fn sqrt(self) -> Self {
+        let a = self.0;
+        ScalarLanes([a[0].sqrt(), a[1].sqrt(), a[2].sqrt(), a[3].sqrt()])
+    }
+
+    #[inline(always)]
+    fn shl52(self) -> Self {
+        let a = self.0;
+        let s = |v: f64| f64::from_bits(v.to_bits() << 52);
+        ScalarLanes([s(a[0]), s(a[1]), s(a[2]), s(a[3])])
+    }
+
+    #[inline(always)]
     fn to_array(self) -> [f64; 4] {
         self.0
     }
@@ -400,9 +437,11 @@ impl Lanes for ScalarLanes {
 mod x86 {
     use super::*;
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd,
-        _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _CMP_GT_OQ,
+        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd,
+        _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_hadd_pd,
+        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+        _mm256_set1_pd, _mm256_slli_epi64, _mm256_sqrt_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm256_xor_pd, _CMP_GT_OQ,
     };
 
     /// The AVX2 backend: one `__m256d` per accumulator, one vector
@@ -509,11 +548,45 @@ mod x86 {
         }
 
         #[inline(always)]
+        fn sqrt(self) -> Self {
+            // SAFETY: see the module safety argument. `sqrtpd` is the
+            // correctly rounded IEEE square root, like `f64::sqrt`.
+            Avx2Lanes(unsafe { _mm256_sqrt_pd(self.0) })
+        }
+
+        #[inline(always)]
+        fn shl52(self) -> Self {
+            // SAFETY: see the module safety argument. The casts only
+            // reinterpret bits; `vpsllq` is the lanewise `<< 52`.
+            let bits = unsafe { _mm256_castpd_si256(self.0) };
+            // SAFETY: see the module safety argument.
+            let shifted = unsafe { _mm256_slli_epi64::<52>(bits) };
+            // SAFETY: see the module safety argument.
+            Avx2Lanes(unsafe { _mm256_castsi256_pd(shifted) })
+        }
+
+        #[inline(always)]
         fn to_array(self) -> [f64; 4] {
             let mut out = [0.0; 4];
             // SAFETY: `out` holds exactly 4 elements; storeu is unaligned.
             unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) };
             out
+        }
+
+        #[inline(always)]
+        fn hsum4(acc: [Self; 4], tail: Self) -> Self {
+            // `hadd(a, b)` = [a0+a1, b0+b1, a2+a3, b2+b3]; the two 128-bit
+            // permutes line up each accumulator's (l0+l1) against its
+            // (l2+l3), so every lane performs the canonical pairing.
+            // SAFETY: see the module safety argument.
+            let ab = unsafe { _mm256_hadd_pd(acc[0].0, acc[1].0) };
+            // SAFETY: see the module safety argument.
+            let cd = unsafe { _mm256_hadd_pd(acc[2].0, acc[3].0) };
+            // SAFETY: see the module safety argument.
+            let lo = Avx2Lanes(unsafe { _mm256_permute2f128_pd::<0x20>(ab, cd) });
+            // SAFETY: see the module safety argument.
+            let hi = Avx2Lanes(unsafe { _mm256_permute2f128_pd::<0x31>(ab, cd) });
+            lo.add(hi).add(tail)
         }
     }
 }
@@ -958,6 +1031,234 @@ fn min_max_body<L: Lanes>(lo: &mut [f64], hi: &mut [f64], p: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane `exp` and the leaf-sum kernel
+// ---------------------------------------------------------------------------
+
+/// `ln 2` split for Cody–Waite reduction: `LN2_HI` has 21 trailing zero
+/// bits, so `k·LN2_HI` is exact for every `|k| < 2²¹`.
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+/// `1.5·2⁵²` plus the biased exponent of `2^(k+64)`: adding it rounds
+/// `x·log₂e` to an integer `k` and leaves `k + 1087` in the low
+/// significand bits, where [`Lanes::shl52`] turns it into `2^(k+64)`.
+const EXP_MAGIC: f64 = 6_755_399_441_055_744.0 + 1087.0;
+/// Inputs are clamped here first: `exp(−746)` rounds to 0, and the clamp
+/// keeps `k + 1087 ≥ 11` inside the exponent field.
+const EXP_MIN: f64 = -746.0;
+/// The second scaling step, `2⁻⁶⁴`.
+const EXP_TWO_M64: f64 = f64::from_bits((1023 - 64) << 52);
+/// Taylor coefficients `EXP_C[n] = 1/n!`, `n = 0..=13`.
+const EXP_C: [f64; 14] = [
+    1.0,
+    1.0,
+    0.5,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5_040.0,
+    1.0 / 40_320.0,
+    1.0 / 362_880.0,
+    1.0 / 3_628_800.0,
+    1.0 / 39_916_800.0,
+    1.0 / 479_001_600.0,
+    1.0 / 6_227_020_800.0,
+];
+
+/// `EXP_C[n]` in every lane.
+#[inline(always)]
+fn exp_coef<L: Lanes>(n: usize) -> L {
+    L::splat(EXP_C[n])
+}
+
+/// Lanewise `exp(x)` on `x ≤ 0` from `add`/`sub`/`mul` and bit operations
+/// only, so it is bitwise identical on every backend:
+///
+/// * clamp to `[−746, 0]` (positive inputs saturate at 1; NaN propagates);
+/// * Cody–Waite reduction `r = (x − k·LN2_HI) − k·LN2_LO`, `|r| ≤ ln2/2`,
+///   with `k` rounded by the magic-number add;
+/// * a fixed degree-13 Taylor polynomial, no FMA;
+/// * two-step scaling `(p·2^(k+64))·2⁻⁶⁴`: the first product is exact and
+///   normal, so a subnormal result is rounded once, by the second.
+///
+/// At most 2 ulp from a correctly rounded `exp` (pinned by the tests
+/// below over `[−745.2, 0]`; 1 ulp is the worst seen on a 2²⁴-point
+/// sweep), monotone along that sweep, and 0 below `−1075·ln2 ≈ −745.13`.
+#[inline(always)]
+fn exp_lanes<L: Lanes>(x: L) -> L {
+    let x = L::splat(EXP_MIN).max(L::splat(0.0).min(x));
+    let t = x
+        .mul(L::splat(std::f64::consts::LOG2_E))
+        .add(L::splat(EXP_MAGIC));
+    let k = t.sub(L::splat(EXP_MAGIC));
+    let r = x.sub(k.mul(L::splat(LN2_HI))).sub(k.mul(L::splat(LN2_LO)));
+    // Degree 13: Estrin's scheme for the terms of degree 4..=13, whose
+    // rounding is far below an ulp of the result, then Horner for the
+    // leading four, which decide the rounding. Estrin halves the
+    // dependent chain of a pure Horner form.
+    let c = exp_coef::<L>;
+    let r2 = r.mul(r);
+    let r4 = r2.mul(r2);
+    let r8 = r4.mul(r4);
+    let e0 = c(4).add(c(5).mul(r));
+    let e1 = c(6).add(c(7).mul(r));
+    let e2 = c(8).add(c(9).mul(r));
+    let e3 = c(10).add(c(11).mul(r));
+    let e4 = c(12).add(c(13).mul(r));
+    let high = e0
+        .add(e1.mul(r2))
+        .add(e2.add(e3.mul(r2)).mul(r4))
+        .add(e4.mul(r8));
+    let p = c(0).add(r.mul(c(1).add(r.mul(c(2).add(r.mul(c(3).add(r.mul(high))))))));
+    p.mul(t.shl52()).mul(L::splat(EXP_TWO_M64))
+}
+
+/// The per-point kernel of a leaf scan, applied to `d² = ‖q‖² − 2·q·p +
+/// ‖p‖²` (clamped at 0) or to the inner product `q·p`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LeafKernel {
+    /// `exp(−γ·d²)`, through the lane `exp`.
+    Gaussian {
+        /// `γ`.
+        gamma: f64,
+    },
+    /// `exp(−γ·√d²)`, through the lane `exp`.
+    Laplacian {
+        /// `γ`.
+        gamma: f64,
+    },
+    /// `(γ·q·p + β)^deg`, libm `powi` per point.
+    Polynomial {
+        /// `γ`.
+        gamma: f64,
+        /// `β`.
+        coef0: f64,
+        /// `deg`.
+        degree: u32,
+    },
+    /// `tanh(γ·q·p + β)`, libm `tanh` per point.
+    Sigmoid {
+        /// `γ`.
+        gamma: f64,
+        /// `β`.
+        coef0: f64,
+    },
+}
+
+/// Four points' inner products with `q`, in flight at once: `rows` holds
+/// the four points back to back. Each point keeps its own accumulator,
+/// its canonical lane order and tail, so lane `k` is bitwise
+/// `dot_body(q, point k)`.
+#[inline(always)]
+fn dot4<L: Lanes>(q: &[f64], rows: &[f64]) -> L {
+    let d = q.len();
+    let (p0, rest) = rows.split_at(d);
+    let (p1, rest) = rest.split_at(d);
+    let (p2, p3) = rest.split_at(d);
+    let p3 = &p3[..d];
+    let blocks = d - d % 4;
+    let zero = L::splat(0.0);
+    let mut acc = [zero; 4];
+    let mut j = 0;
+    while j < blocks {
+        let x = L::load(q, j);
+        acc[0] = acc[0].add(x.mul(L::load(p0, j)));
+        acc[1] = acc[1].add(x.mul(L::load(p1, j)));
+        acc[2] = acc[2].add(x.mul(L::load(p2, j)));
+        acc[3] = acc[3].add(x.mul(L::load(p3, j)));
+        j += 4;
+    }
+    let mut tail = [0.0; 4];
+    while j < d {
+        let x = q[j];
+        tail[0] += x * p0[j];
+        tail[1] += x * p1[j];
+        tail[2] += x * p2[j];
+        tail[3] += x * p3[j];
+        j += 1;
+    }
+    L::hsum4(acc, L::load(&tail, 0))
+}
+
+/// `d²` lanes from inner products, `(‖q‖² − 2·q·p + ‖p‖²)` clamped at 0
+/// (the clamp maps NaN to 0, like `f64::max`).
+#[inline(always)]
+fn d2_lanes<L: Lanes>(dots: L, norms2: L, q_norm2: f64) -> L {
+    L::splat(q_norm2)
+        .sub(L::splat(2.0).mul(dots))
+        .add(norms2)
+        .max(L::splat(0.0))
+}
+
+/// The kernel values of four points from their inner products and norms.
+#[inline(always)]
+fn kernel_lanes<L: Lanes>(k: LeafKernel, dots: L, norms2: L, q_norm2: f64) -> L {
+    match k {
+        LeafKernel::Gaussian { gamma } => {
+            exp_lanes(L::splat(-gamma).mul(d2_lanes(dots, norms2, q_norm2)))
+        }
+        LeafKernel::Laplacian { gamma } => {
+            exp_lanes(L::splat(-gamma).mul(d2_lanes(dots, norms2, q_norm2).sqrt()))
+        }
+        LeafKernel::Polynomial {
+            gamma,
+            coef0,
+            degree,
+        } => {
+            let x = L::splat(gamma).mul(dots).add(L::splat(coef0)).to_array();
+            let n = degree as i32;
+            let v = [x[0].powi(n), x[1].powi(n), x[2].powi(n), x[3].powi(n)];
+            L::load(&v, 0)
+        }
+        LeafKernel::Sigmoid { gamma, coef0 } => {
+            let x = L::splat(gamma).mul(dots).add(L::splat(coef0)).to_array();
+            let v = [x[0].tanh(), x[1].tanh(), x[2].tanh(), x[3].tanh()];
+            L::load(&v, 0)
+        }
+    }
+}
+
+/// `Σ wᵢ·K(q, pᵢ)` over one leaf, four points in flight. Point `i` adds
+/// into accumulator `i % 4` and the last `n % 4` points into a sequential
+/// tail; the result is the canonical `(a0+a1) + (a2+a3) + tail`.
+#[inline(always)]
+fn leaf_sum_body<L: Lanes>(
+    k: LeafKernel,
+    rows: &[f64],
+    weights: &[f64],
+    norms2: &[f64],
+    q: &[f64],
+    q_norm2: f64,
+) -> f64 {
+    let (n, d) = (weights.len(), q.len());
+    let blocks = n - n % 4;
+    let mut acc = L::splat(0.0);
+    let mut i = 0;
+    while i < blocks {
+        let dots = dot4::<L>(q, &rows[i * d..(i + 4) * d]);
+        let kv = kernel_lanes(k, dots, L::load(norms2, i), q_norm2);
+        acc = acc.add(L::load(weights, i).mul(kv));
+        i += 4;
+    }
+    let mut tail = 0.0;
+    if i < n {
+        // The last n % 4 points ride in a zero-padded block, so they go
+        // through the same lane kernel as every other point.
+        let m = n - i;
+        let (mut dots, mut pn) = ([0.0; 4], [0.0; 4]);
+        for s in 0..m {
+            dots[s] = dot_body::<L>(q, &rows[(i + s) * d..(i + s + 1) * d]);
+            pn[s] = norms2[i + s];
+        }
+        let kv = kernel_lanes(k, L::load(&dots, 0), L::load(&pn, 0), q_norm2).to_array();
+        for s in 0..m {
+            tail += weights[i + s] * kv[s];
+        }
+    }
+    acc.hsum(tail)
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 wrapper functions
 // ---------------------------------------------------------------------------
 //
@@ -966,6 +1267,11 @@ fn min_max_body<L: Lanes>(lo: &mut [f64], hi: &mut [f64], p: &[f64]) {
 // scalar tail, which compiles to VEX scalar ops with identical IEEE
 // semantics) is generated as AVX2 code. Calling one is unsafe-by-feature:
 // the `_with` dispatchers below only do so behind an avx2 backend witness.
+//
+// Rule: every helper a wrapper reaches is an `#[inline(always)] fn`, never
+// a closure. A closure does not inherit the wrapper's target feature, so
+// if LLVM leaves it out of line its lane operations become calls to
+// non-inlined intrinsics (DESIGN §15).
 
 #[cfg(target_arch = "x86_64")]
 mod avx2_entry {
@@ -1069,6 +1375,35 @@ mod avx2_entry {
     #[target_feature(enable = "avx2")]
     pub(super) fn min_max(lo: &mut [f64], hi: &mut [f64], p: &[f64]) {
         min_max_body::<Avx2Lanes>(lo, hi, p)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn leaf_sum(
+        k: LeafKernel,
+        rows: &[f64],
+        weights: &[f64],
+        norms2: &[f64],
+        q: &[f64],
+        q_norm2: f64,
+    ) -> f64 {
+        leaf_sum_body::<Avx2Lanes>(k, rows, weights, norms2, q, q_norm2)
+    }
+
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn exp(x: [f64; 4]) -> [f64; 4] {
+        exp_lanes(Avx2Lanes::load(&x, 0)).to_array()
+    }
+
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn d2_block(q: &[f64], rows: &[f64], norms2: &[f64], q_norm2: f64) -> [f64; 4] {
+        d2_lanes(
+            dot4::<Avx2Lanes>(q, rows),
+            Avx2Lanes::load(norms2, 0),
+            q_norm2,
+        )
+        .to_array()
     }
 }
 
@@ -1310,6 +1645,54 @@ pub fn min_max_update_with(be: SimdBackend, lo: &mut [f64], hi: &mut [f64], p: &
     }
 }
 
+/// Exact leaf refinement `Σᵢ wᵢ·K(q, pᵢ)` on the chosen backend, entered
+/// once per leaf. `rows` holds the leaf's points back to back
+/// (`weights.len()` rows of `q.len()` coordinates) and `norms2` their
+/// squared norms.
+///
+/// Four points are in flight at once, but each point's `q·p` keeps the
+/// canonical order, so every `d²` is bitwise what [`dot_with`] gives.
+/// Gaussian and Laplacian values come from the lane `exp` (at most 2 ulp
+/// from a correctly rounded `exp`); polynomial and sigmoid use libm
+/// `powi`/`tanh` per point. Bitwise identical on every backend.
+///
+/// # Panics
+/// Panics if the buffer lengths disagree with `weights.len()` and
+/// `q.len()`.
+#[inline]
+pub fn leaf_sum_with(
+    be: SimdBackend,
+    kernel: LeafKernel,
+    rows: &[f64],
+    weights: &[f64],
+    norms2: &[f64],
+    q: &[f64],
+    q_norm2: f64,
+) -> f64 {
+    assert!(
+        rows.len() == weights.len() * q.len() && norms2.len() == weights.len(),
+        "leaf buffers disagree with the point count and dimensionality"
+    );
+    match be.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an avx2 backend witness implies the feature is detected.
+        KIND_AVX2 => unsafe { avx2_entry::leaf_sum(kernel, rows, weights, norms2, q, q_norm2) },
+        _ => leaf_sum_body::<ScalarLanes>(kernel, rows, weights, norms2, q, q_norm2),
+    }
+}
+
+/// Four lanes of the leaf kernels' `exp` on the chosen backend, for the
+/// tests that pin its error bound and backend equality.
+#[cfg(test)]
+fn exp_with(be: SimdBackend, x: [f64; 4]) -> [f64; 4] {
+    match be.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an avx2 backend witness implies the feature is detected.
+        KIND_AVX2 => unsafe { avx2_entry::exp(x) },
+        _ => exp_lanes(ScalarLanes(x)).to_array(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1521,6 +1904,249 @@ mod tests {
             )
         });
         assert!(r.is_err(), "short aggregate buffer must panic");
+    }
+
+    /// Distance in units in the last place between two finite doubles of
+    /// the same sign (subnormals included: their ulp is the smallest step).
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// The lane `exp` on both backends, asserting they agree bitwise.
+    fn lane_exp(x: [f64; 4]) -> [f64; 4] {
+        let s = exp_with(SimdBackend::scalar(), x);
+        let v = exp_with(SimdBackend::detect(), x);
+        for k in 0..4 {
+            assert_eq!(
+                s[k].to_bits(),
+                v[k].to_bits(),
+                "backends differ at x={}",
+                x[k]
+            );
+        }
+        s
+    }
+
+    /// Splitmix64 in `[0, 1)`: a seeded, dependency-free source of
+    /// random probe points.
+    fn unit_stream(seed: u64) -> impl Iterator<Item = f64> {
+        let mut s = seed;
+        std::iter::repeat_with(move || {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        })
+    }
+
+    /// The error bound the leaf kernels (and any outward widening built
+    /// on them) rely on: at most 2 ulp from `f64::exp` over a dense sweep
+    /// of `[−745.2, 0]`, normal and subnormal results alike, and
+    /// monotone non-decreasing along the sweep.
+    #[test]
+    fn lane_exp_is_within_two_ulp_and_monotone_on_the_sweep() {
+        const N: usize = 1 << 20;
+        let (lo, hi) = (-745.2f64, 0.0f64);
+        let mut prev = 0.0f64;
+        for i in (0..=N).step_by(4) {
+            let x: [f64; 4] =
+                std::array::from_fn(|k| lo + (hi - lo) * ((i + k).min(N) as f64 / N as f64));
+            let y = lane_exp(x);
+            for k in 0..4 {
+                let e = ulps(y[k], x[k].exp());
+                assert!(
+                    e <= 2,
+                    "exp({}) = {} is {e} ulp from {}",
+                    x[k],
+                    y[k],
+                    x[k].exp()
+                );
+                assert!(y[k] >= prev, "not monotone at x = {}", x[k]);
+                prev = y[k];
+            }
+        }
+        assert_eq!(prev, 1.0);
+    }
+
+    #[test]
+    fn lane_exp_is_within_two_ulp_at_seeded_random_points() {
+        let mut u = unit_stream(0x6b61_726c);
+        for scale in [745.2, 40.0, 1.0, 1e-3] {
+            for _ in 0..50_000 {
+                let x: [f64; 4] = std::array::from_fn(|_| -scale * u.next().unwrap());
+                let y = lane_exp(x);
+                for k in 0..4 {
+                    assert!(ulps(y[k], x[k].exp()) <= 2, "exp({}) = {}", x[k], y[k]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_exp_is_exact_at_zero_and_zero_far_below() {
+        assert_eq!(lane_exp([0.0, -0.0, 0.0, -0.0]), [1.0; 4]);
+        // Below −1075·ln2 the true value is under half the smallest
+        // subnormal, so the correctly rounded answer is +0.
+        let mut x = -745.134;
+        while x > -745.3 {
+            assert_eq!(lane_exp([x; 4])[0].to_bits(), 0, "exp({x})");
+            x -= 1e-4;
+        }
+        let y = lane_exp([-746.0, -800.0, -1e300, f64::NEG_INFINITY]);
+        assert_eq!(y.map(f64::to_bits), [0; 4]);
+        assert!(lane_exp([f64::NAN; 4])[0].is_nan());
+    }
+
+    /// Results below `f64::MIN_POSITIVE` are rounded once, in the second
+    /// scaling step: every value on `[−745.13, −708.4]` is within 2 ulp
+    /// of `f64::exp`, never clamped up to a normal number.
+    #[test]
+    fn lane_exp_rounds_subnormal_results_once() {
+        let (lo, hi) = (-745.13f64, -708.4f64);
+        const N: usize = 1 << 18;
+        let mut subnormal = 0;
+        for i in (0..=N).step_by(4) {
+            let x: [f64; 4] =
+                std::array::from_fn(|k| lo + (hi - lo) * ((i + k).min(N) as f64 / N as f64));
+            let y = lane_exp(x);
+            for k in 0..4 {
+                assert!(ulps(y[k], x[k].exp()) <= 2, "exp({}) = {:e}", x[k], y[k]);
+                if y[k] < f64::MIN_POSITIVE {
+                    assert!(y[k] > 0.0, "exp({}) flushed to zero", x[k]);
+                    subnormal += 1;
+                }
+            }
+        }
+        assert!(
+            subnormal > N / 2,
+            "the range must exercise subnormal results"
+        );
+    }
+
+    /// Four rows of dimensionality `d` back to back, plus a query.
+    fn leaf_rows(n: usize, d: usize) -> (Vec<f64>, Vec<f64>) {
+        let rows = (0..n * d).map(|i| (i as f64 * 0.37).sin() * 2.5).collect();
+        let q = (0..d)
+            .map(|i| (i as f64 * 0.83).cos() * 1.5 - 0.2)
+            .collect();
+        (rows, q)
+    }
+
+    /// The four-in-flight `d²` is bitwise the `dot_with`-based `d²` of
+    /// each point, for every dimensionality around the 4-wide blocking.
+    #[test]
+    fn four_in_flight_d2_matches_dot_with_bitwise() {
+        for d in 1..=33usize {
+            let (rows, q) = leaf_rows(4, d);
+            let be = SimdBackend::scalar();
+            let qn = norm2_with(be, &q);
+            let norms: Vec<f64> = rows.chunks(d).map(|p| norm2_with(be, p)).collect();
+            let want: Vec<u64> = rows
+                .chunks(d)
+                .zip(&norms)
+                .map(|(p, pn)| (qn - 2.0 * dot_with(be, &q, p) + pn).max(0.0).to_bits())
+                .collect();
+            let scalar = d2_lanes(
+                dot4::<ScalarLanes>(&q, &rows),
+                ScalarLanes::load(&norms, 0),
+                qn,
+            );
+            assert_eq!(
+                scalar.to_array().map(f64::to_bits).to_vec(),
+                want,
+                "scalar d={d}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if SimdBackend::avx2().is_some() {
+                // SAFETY: AVX2 was detected just above.
+                let v = unsafe { avx2_entry::d2_block(&q, &rows, &norms, qn) };
+                assert_eq!(v.map(f64::to_bits).to_vec(), want, "avx2 d={d}");
+            }
+        }
+    }
+
+    fn leaf_kernels() -> [LeafKernel; 4] {
+        [
+            LeafKernel::Gaussian { gamma: 0.7 },
+            LeafKernel::Laplacian { gamma: 0.9 },
+            LeafKernel::Polynomial {
+                gamma: 0.3,
+                coef0: 0.5,
+                degree: 3,
+            },
+            LeafKernel::Sigmoid {
+                gamma: 0.4,
+                coef0: -0.1,
+            },
+        ]
+    }
+
+    /// One point's kernel value the pre-kernel way: `dot_with`, then the
+    /// lane `exp` on a single value or libm `powi`/`tanh`.
+    fn point_value(k: LeafKernel, q: &[f64], qn: f64, p: &[f64], pn: f64) -> f64 {
+        let be = SimdBackend::scalar();
+        let dot = dot_with(be, q, p);
+        let d2 = (qn - 2.0 * dot + pn).max(0.0);
+        match k {
+            LeafKernel::Gaussian { gamma } => exp_with(be, [-gamma * d2; 4])[0],
+            LeafKernel::Laplacian { gamma } => exp_with(be, [-gamma * d2.sqrt(); 4])[0],
+            LeafKernel::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => (gamma * dot + coef0).powi(degree as i32),
+            LeafKernel::Sigmoid { gamma, coef0 } => (gamma * dot + coef0).tanh(),
+        }
+    }
+
+    /// Scalar and AVX2 leaf sums agree bitwise on every leaf length
+    /// 0..=13 (every remainder mod 4) for all four kernels, and both equal
+    /// the per-point loop with the canonical point blocking.
+    #[test]
+    fn leaf_sum_is_backend_independent_at_every_remainder() {
+        for d in [1usize, 3, 4, 5, 8, 22] {
+            for n in 0..=13usize {
+                let (rows, q) = leaf_rows(n, d);
+                let s = SimdBackend::scalar();
+                let qn = norm2_with(s, &q);
+                let norms: Vec<f64> = rows.chunks(d).map(|p| norm2_with(s, p)).collect();
+                let w: Vec<f64> = (0..n).map(|i| 1.0 - 0.3 * i as f64).collect();
+                for k in leaf_kernels() {
+                    let got = leaf_sum_with(s, k, &rows, &w, &norms, &q, qn);
+                    let v = leaf_sum_with(SimdBackend::detect(), k, &rows, &w, &norms, &q, qn);
+                    assert_eq!(got.to_bits(), v.to_bits(), "{k:?} n={n} d={d}");
+                    let (mut acc, mut tail) = ([0.0f64; 4], 0.0);
+                    for i in 0..n {
+                        let p = &rows[i * d..(i + 1) * d];
+                        let t = w[i] * point_value(k, &q, qn, p, norms[i]);
+                        if i < n - n % 4 {
+                            acc[i % 4] += t;
+                        } else {
+                            tail += t;
+                        }
+                    }
+                    let want = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
+                    assert_eq!(got.to_bits(), want.to_bits(), "{k:?} n={n} d={d} reference");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_sum_validates_buffer_lengths() {
+        let r = std::panic::catch_unwind(|| {
+            leaf_sum_with(
+                SimdBackend::detect(),
+                LeafKernel::Gaussian { gamma: 1.0 },
+                &[0.0; 7],
+                &[1.0; 2],
+                &[0.0; 2],
+                &[0.0; 4],
+                0.0,
+            )
+        });
+        assert!(r.is_err(), "short row buffer must panic");
     }
 
     #[test]

@@ -55,6 +55,14 @@ KARL_SIMD=scalar cargo test -q --offline -p karl --test index_persist_equivalenc
 KARL_SIMD=scalar cargo test -q --offline -p karl --test simd_equivalence
 KARL_SIMD=scalar cargo test -q --offline -p karl-geom
 
+echo "==> guard: karl-geom and karl-tree suites under AddressSanitizer (nightly)"
+# The unsafe code lives in karl_geom (the SIMD entry points, including the
+# once-per-leaf leaf-sum kernel, and the aligned buffers) and in the
+# karl_tree index arena, so both unit suites run instrumented. An explicit
+# --target keeps the sanitizer out of build scripts and proc macros.
+RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --offline \
+    --target x86_64-unknown-linux-gnu -p karl-geom -p karl-tree
+
 echo "==> guard: run counters build and pass under --features stats"
 cargo test -q --offline -p karl-core --features stats
 cargo test -q --offline -p karl-cli --features stats

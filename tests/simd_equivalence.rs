@@ -17,7 +17,8 @@
 use std::sync::Mutex;
 
 use karl::core::{
-    BoundMethod, Engine, Evaluator, Kernel, Query, QueryBatch, RunOutcome, TraceStep,
+    BoundMethod, Engine, Evaluator, IndexMeta, Kernel, Query, QueryBatch, RunOutcome,
+    StorageCalibration, StorageProfile, TraceStep,
 };
 use karl::geom::{backend_name, set_backend, Ball, PointSet, Rect, SimdChoice};
 use karl::tree::NodeShape;
@@ -214,5 +215,105 @@ fn pinned_tail_case_is_backend_independent() {
         let (out_d, trace_d) = ed.trace_run_on(Engine::Frozen, &q, query);
         assert_eq!(out_d, out_s, "{query:?} outcome under {}", backend_name());
         assert_eq!(trace_d, trace_s, "{query:?} trace under {}", backend_name());
+    }
+}
+
+/// What the frozen engine produces for one loaded evaluator: outcomes,
+/// traces, whole-buffer exact scans and a 2-thread batch.
+type FrozenRun = (
+    Vec<RunOutcome>,
+    Vec<(RunOutcome, Vec<TraceStep>)>,
+    Vec<u64>,
+    Vec<RunOutcome>,
+);
+
+fn run_frozen<S: NodeShape + Sync>(
+    eval: &Evaluator<S>,
+    queries: &PointSet,
+    query: Query,
+) -> FrozenRun {
+    (
+        queries
+            .iter()
+            .map(|q| eval.run_query_on(Engine::Frozen, q, query, None))
+            .collect(),
+        queries
+            .iter()
+            .map(|q| eval.trace_run_on(Engine::Frozen, q, query))
+            .collect(),
+        queries.iter().map(|q| eval.exact(q).to_bits()).collect(),
+        QueryBatch::new(queries, query)
+            .threads(2)
+            .run(eval)
+            .outcomes()
+            .to_vec(),
+    )
+}
+
+/// Writes a scalar-built index, then answers from the loaded file under
+/// each backend: leaf scans read rows borrowed from the file's arena
+/// through `Buf` (not the builder's vectors), and must still match the
+/// fresh build bit for bit on both backends.
+fn loaded_index_case<S: NodeShape + Sync>(kernel: Kernel, query: Query, seed: u64, tag: &str) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (n, d, leaf) = (103, 5, 7);
+    let points = clustered(n, d, &mut rng);
+    let weights = mixed_weights(n, &mut rng);
+    let queries = clustered(12, d, &mut rng);
+
+    set_backend(SimdChoice::Scalar);
+    let fresh = Evaluator::<S>::build(&points, &weights, kernel, BoundMethod::Karl, leaf);
+    let want = run_frozen(&fresh, &queries, query);
+    let dir = std::env::temp_dir().join("karl_simd_equivalence");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}-{}.idx", std::process::id()));
+    let meta = IndexMeta {
+        kernel,
+        method: BoundMethod::Karl,
+        leaf_capacity: leaf as u32,
+        profile: StorageProfile::Memory,
+        calibration: StorageCalibration::canned(StorageProfile::Memory),
+    };
+    fresh.write_index_file(&path, &meta).unwrap();
+    let raw = karl::tree::load_index_file(&path).unwrap();
+    for side in [raw.pos.as_ref(), raw.neg.as_ref()].into_iter().flatten() {
+        assert!(
+            side.leaf.points().is_view(),
+            "{tag}: leaf rows must be borrowed"
+        );
+    }
+
+    for choice in [SimdChoice::Scalar, SimdChoice::Auto] {
+        set_backend(choice);
+        let (loaded, _) = Evaluator::<S>::from_index_file(&path).unwrap();
+        let got = run_frozen(&loaded, &queries, query);
+        assert_eq!(got, want, "{tag}: loaded index under {}", backend_name());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The persisted-index case of the contract, for every kernel, both
+/// families and all three query variants.
+#[test]
+fn loaded_index_leaf_scans_are_backend_independent() {
+    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = RestoreAuto;
+    let kernels = [
+        Kernel::gaussian(0.8),
+        Kernel::laplacian(0.6),
+        Kernel::polynomial(0.3, 0.2, 2),
+        Kernel::sigmoid(0.4, 0.1),
+    ];
+    let queries = [
+        Query::Tkaq { tau: 0.1 },
+        Query::Ekaq { eps: 0.05 },
+        Query::Within { tol: 0.01 },
+    ];
+    for (ki, kernel) in kernels.into_iter().enumerate() {
+        for (vi, query) in queries.into_iter().enumerate() {
+            let seed = (ki * 3 + vi) as u64;
+            loaded_index_case::<Rect>(kernel, query, seed, &format!("kd-{ki}-{vi}"));
+            loaded_index_case::<Ball>(kernel, query, seed, &format!("ball-{ki}-{vi}"));
+        }
     }
 }
