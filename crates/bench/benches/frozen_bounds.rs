@@ -8,11 +8,8 @@
 //!
 //! A second section isolates the envelope construction itself: real
 //! `(lo, hi, x̄)` intervals are harvested from the workload, then swept
-//! three ways — direct [`envelope_parts`] calls (which since PR 4 share
-//! the endpoint curve evaluations between the range, the chord and the
-//! tangent), a cold [`EnvelopeCache`] (every key misses and inserts), and
-//! a warm one (every key hits). The warm rate is the ceiling for
-//! duplicate-heavy query streams; single-shot streams pay the cold rate.
+//! through direct [`envelope_parts`] calls (which share the endpoint curve
+//! evaluations between the range, the chord and the tangent).
 //!
 //! Emits JSON when `KARL_BENCH_JSON=<path>` is set (merged into
 //! `BENCH_PR4.json` by `scripts/bench_json.sh`). Sizing overrides:
@@ -21,8 +18,8 @@
 use std::time::Instant;
 
 use karl_core::{
-    envelope_parts, node_bounds, node_bounds_frozen, node_interval_frozen, BoundMethod,
-    EnvelopeCache, Evaluator, Kernel, QueryContext,
+    envelope_parts, node_bounds, node_bounds_frozen, node_interval_frozen, BoundMethod, Evaluator,
+    Kernel, QueryContext,
 };
 use karl_geom::{norm2, Ball, PointSet, Rect};
 use karl_kde::scotts_gamma;
@@ -153,15 +150,10 @@ fn harvest_envelope_keys(
 
 struct EnvelopeMicro {
     keys: usize,
-    distinct: usize,
     uncached_per_s: f64,
-    cold_per_s: f64,
-    warm_per_s: f64,
 }
 
 fn bench_envelope_micro(eval: &Evaluator<Rect>, queries: &PointSet) -> EnvelopeMicro {
-    // Stay under 3/4 of the cache's maximum table so the cold pass is a
-    // pure miss+insert sweep with no clear-in-place events.
     let keys = harvest_envelope_keys(eval, queries, 16_384);
     let curve = eval.kernel().curve();
     let m = keys.len();
@@ -171,28 +163,9 @@ fn bench_envelope_micro(eval: &Evaluator<Rect>, queries: &PointSet) -> EnvelopeM
             black_box(envelope_parts(curve, lo, hi, xb));
         }
     });
-    let cold_per_s = measure(m, || {
-        let mut cache = EnvelopeCache::new();
-        for &(lo, hi, xb) in &keys {
-            black_box(cache.get_or_build(curve, lo, hi, xb));
-        }
-    });
-    let mut warm = EnvelopeCache::new();
-    for &(lo, hi, xb) in &keys {
-        warm.get_or_build(curve, lo, hi, xb);
-    }
-    let distinct = warm.len();
-    let warm_per_s = measure(m, || {
-        for &(lo, hi, xb) in &keys {
-            black_box(warm.get_or_build(curve, lo, hi, xb));
-        }
-    });
     EnvelopeMicro {
         keys: m,
-        distinct,
         uncached_per_s,
-        cold_per_s,
-        warm_per_s,
     }
 }
 
@@ -233,17 +206,12 @@ fn main() {
     }
 
     let micro = bench_envelope_micro(&kd, &queries);
-    println!(
-        "\nenvelope micro: {} keys ({} distinct), Gaussian curve",
-        micro.keys, micro.distinct
-    );
+    println!("\nenvelope micro: {} keys, Gaussian curve", micro.keys);
     println!(
         "{:<22} {:>16}",
         "path", "envelopes/s"
     );
-    println!("{:<22} {:>16.0}", "direct (no cache)", micro.uncached_per_s);
-    println!("{:<22} {:>16.0}", "cache cold (miss)", micro.cold_per_s);
-    println!("{:<22} {:>16.0}", "cache warm (hit)", micro.warm_per_s);
+    println!("{:<22} {:>16.0}", "direct", micro.uncached_per_s);
 
     if let Ok(path) = std::env::var("KARL_BENCH_JSON") {
         let mut json = String::from("{\n");
@@ -258,23 +226,12 @@ fn main() {
              builder shares the endpoint curve evaluations between range, \
              chord and tangent (6 exps -> 3 for the Gaussian), which is \
              what moves the Karl rows. envelope_micro isolates that \
-             builder: cold-cache adds hash+insert overhead to every miss, \
-             warm-cache is the all-hit ceiling and only materializes when \
-             (curve, lo, hi, xbar) bit patterns repeat exactly, as in \
-             duplicate-heavy query streams\",\n",
+             builder\",\n",
         );
         json.push_str(&format!(
-            "  \"envelope_micro\": {{\"keys\": {}, \"distinct_keys\": {}, \
-             \"uncached_envelopes_per_s\": {:.0}, \
-             \"cache_cold_envelopes_per_s\": {:.0}, \
-             \"cache_warm_envelopes_per_s\": {:.0}, \
-             \"warm_over_uncached\": {:.3}}},\n",
-            micro.keys,
-            micro.distinct,
-            micro.uncached_per_s,
-            micro.cold_per_s,
-            micro.warm_per_s,
-            micro.warm_per_s / micro.uncached_per_s
+            "  \"envelope_micro\": {{\"keys\": {}, \
+             \"uncached_envelopes_per_s\": {:.0}}},\n",
+            micro.keys, micro.uncached_per_s
         ));
         json.push_str("  \"results\": [\n");
         for (i, r) in rows.iter().enumerate() {

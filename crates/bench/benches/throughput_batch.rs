@@ -9,7 +9,7 @@
 //! the results are written there (this is how `scripts/bench_json.sh`
 //! produces `BENCH_PR6.json`). Sizing overrides: `KARL_BENCH_N` (points),
 //! `KARL_BENCH_QUERIES` (queries), `KARL_BENCH_GRID` (side of the
-//! clustered query grid in the dual-vs-single TKAQ comparison).
+//! clustered query grid in the coreset-cascade comparison).
 
 use std::time::Instant;
 
@@ -52,9 +52,7 @@ fn synthetic(n: usize, d: usize, seed: u64) -> PointSet {
 /// Regular 2-D lattice of queries spanning the clustered data's domain
 /// (remaining dims pinned at a blob center) — the KDE level-set shape:
 /// grid regions far from the blobs are decisively below τ, regions on a
-/// blob decisively above, and only the boundary band straddles. Compact
-/// query leaves in the decisive regions are what the dual traversal
-/// decides wholesale.
+/// blob decisively above, and only the boundary band straddles.
 fn clustered_grid(side: usize, d: usize) -> PointSet {
     let step = 4.8 / side.max(2).saturating_sub(1) as f64;
     let mut data = Vec::with_capacity(side * side * d);
@@ -198,69 +196,15 @@ fn main() {
     };
     run_workload("tkaq", &eval, &queries, Query::Tkaq { tau }, &mut all);
 
-    // Dual-tree vs single-tree on a clustered grid of TKAQ queries —
-    // the canonical KDE level-set workload: a 2-D heat-map grid over a
-    // clustered density, thresholded between the background and the blob
-    // cores. Dual-tree amortization is a *low-dimensional* phenomenon
-    // (in high d, kd-node MBRs are so wide that every query node touches
-    // most data leaves and the joint upper bound floors at the touching
-    // leaves' summed weight — the dual-tree FGT literature benches at
-    // d ≤ 3 for the same reason), so this section builds its own 2-D
-    // evaluator; small data leaves keep the per-leaf weight floor low.
-    // Node visits are the work metric the simultaneous descent cuts:
-    // single = per-query refinement iterations summed over the batch,
-    // dual = pair intervals scored plus the per-query fallback's
-    // iterations. Wall clock is reported too, but on spatially coherent
-    // batches the visit count is the machine-independent signal.
-    let dual_d = 2;
-    let dual_points = synthetic(n, dual_d, 0xBA7C6);
-    // Fixed bandwidth, not Scott's rule: Scott's shrinks with n, and once
-    // the kernel length scale drops to the query-leaf span the joint
-    // intervals widen past usefulness — the level-set workload should
-    // stress the traversal, not bandwidth selection.
-    let dual_gamma = 4.0;
-    let dual_weights = vec![1.0 / n as f64; n];
-    let dual_eval: KdEvaluator = Evaluator::build(
-        &dual_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
-        BoundMethod::Karl,
-        16,
-    );
+    // The level-set workload below runs on its own 2-D data: a heat-map
+    // grid of TKAQ queries over the clustered density. Fixed bandwidth,
+    // not Scott's rule, so the kernel length scale does not shrink with n.
+    let grid_d = 2;
+    let grid_points = synthetic(n, grid_d, 0xBA7C6);
+    let grid_gamma = 4.0;
+    let grid_weights = vec![1.0 / n as f64; n];
     let side = env_usize("KARL_BENCH_GRID", 64);
-    let gridq = clustered_grid(side, dual_d);
-    // Level-set threshold at 1/8 of the peak blob density: decisively
-    // above the background plateau and decisively below the blob cores,
-    // so only the blob boundary band straddles. Probing the density at a
-    // fixed point keeps τ independent of the grid resolution.
-    let gtau = {
-        let probe = vec![1.0f64; dual_d];
-        dual_eval.ekaq(&probe, 0.05) / 8.0
-    };
-    let gq = Query::Tkaq { tau: gtau };
-    let spec = QueryBatch::new(&gridq, gq).threads(1);
-    let single_out = spec.run(&dual_eval);
-    let dual_out = spec.run_dual(&dual_eval);
-    let single_visits = single_out.total_iterations() as u64;
-    let dual_visits = dual_out.dual_node_visits();
-    let single_qps = measure(gridq.len(), || {
-        black_box(spec.run(&dual_eval));
-    });
-    let dual_qps = measure(gridq.len(), || {
-        black_box(spec.run_dual(&dual_eval));
-    });
-    println!(
-        "\n== throughput_batch/dual_tkaq ({side}x{side} grid over {n} pts x {dual_d} dims, \
-         tau {gtau:.5}) =="
-    );
-    println!(
-        "single: {single_visits} node visits, {single_qps:.0} queries/s\n\
-         dual:   {dual_visits} node visits ({} pairs scored, {} of {} queries wholesale), \
-         {dual_qps:.0} queries/s",
-        dual_out.dual_pairs(),
-        dual_out.dual_wholesale(),
-        gridq.len(),
-    );
+    let gridq = clustered_grid(side, grid_d);
 
     // Coreset cascade vs the full tree on a skewed-τ level-set grid over
     // REDUNDANT data: the same blob+background density with every
@@ -280,21 +224,21 @@ fn main() {
     // tier.
     let cs_quant = 0.05;
     let cs_points = PointSet::new(
-        dual_d,
-        dual_points
+        grid_d,
+        grid_points
             .iter()
             .flat_map(|p| p.iter().map(|v| (v / cs_quant).round() * cs_quant))
             .collect(),
     );
     let cs_eval: KdEvaluator = Evaluator::build(
         &cs_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
+        &grid_weights,
+        Kernel::gaussian(grid_gamma),
         BoundMethod::Karl,
         16,
     );
     let cs_tau = {
-        let probe = vec![1.0f64; dual_d];
+        let probe = vec![1.0f64; grid_d];
         cs_eval.ekaq(&probe, 0.05) / 8.0
     };
     // Target ε at half of τ: the grid-snap cell pitch this implies
@@ -303,8 +247,8 @@ fn main() {
     let cs_eps = cs_tau / 2.0;
     let coreset = Coreset::try_build(
         &cs_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
+        &grid_weights,
+        Kernel::gaussian(grid_gamma),
         cs_eps,
     )
     .expect("gaussian coreset must build");
@@ -382,32 +326,9 @@ fn main() {
             ));
         }
         json.push_str("  },\n");
-        json.push_str("  \"dual_tkaq\": {\n");
-        json.push_str(&format!("    \"points\": {n},\n"));
-        json.push_str(&format!("    \"dims\": {dual_d},\n"));
-        json.push_str("    \"data_leaf\": 16,\n");
-        json.push_str(&format!("    \"gamma\": {dual_gamma},\n"));
-        json.push_str(&format!("    \"grid_side\": {side},\n"));
-        json.push_str(&format!("    \"queries\": {},\n", gridq.len()));
-        json.push_str(&format!("    \"tau\": {gtau},\n"));
-        json.push_str(&format!("    \"single_node_visits\": {single_visits},\n"));
-        json.push_str(&format!("    \"dual_node_visits\": {dual_visits},\n"));
-        json.push_str(&format!(
-            "    \"dual_pairs_scored\": {},\n",
-            dual_out.dual_pairs()
-        ));
-        json.push_str(&format!(
-            "    \"dual_wholesale_decided\": {},\n",
-            dual_out.dual_wholesale()
-        ));
-        json.push_str(&format!(
-            "    \"single_queries_per_s\": {single_qps:.1},\n"
-        ));
-        json.push_str(&format!("    \"dual_queries_per_s\": {dual_qps:.1}\n"));
-        json.push_str("  },\n");
         json.push_str("  \"coreset_cascade\": {\n");
         json.push_str(&format!("    \"points\": {n},\n"));
-        json.push_str(&format!("    \"dims\": {dual_d},\n"));
+        json.push_str(&format!("    \"dims\": {grid_d},\n"));
         json.push_str(&format!("    \"quantized_lattice\": {cs_quant},\n"));
         json.push_str(&format!("    \"grid_side\": {side},\n"));
         json.push_str(&format!("    \"queries\": {},\n", gridq.len()));

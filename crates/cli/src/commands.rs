@@ -180,12 +180,10 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         "gamma",
         "threads",
         "engine",
-        "envelope-cache",
         "stats",
         "budget-nodes",
         "budget-leaf",
         "deadline-ms",
-        "dual",
         "coreset",
         "simd",
         "stats-json",
@@ -204,7 +202,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     }
     let index_path = p.get("index");
     if index_path.is_some() {
-        for flag in ["data", "gamma", "method", "leaf", "coreset", "dual"] {
+        for flag in ["data", "gamma", "method", "leaf", "coreset"] {
             if p.has(flag) {
                 return Err(format!(
                     "--{flag} conflicts with --index (kernel, method and leaf capacity are recorded in the index file)"
@@ -255,11 +253,6 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         None | Some("frozen") => Engine::Frozen,
         Some("pointer") => Engine::Pointer,
         Some(other) => return Err(format!("unknown engine {other:?} (frozen|pointer)")),
-    };
-    let env_cache = match p.get("envelope-cache") {
-        Some("on") => true,
-        None | Some("off") => false,
-        Some(other) => return Err(format!("unknown envelope-cache {other:?} (on|off)")),
     };
     let want_stats = p.has("stats");
     #[cfg(not(feature = "stats"))]
@@ -344,7 +337,6 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     let n = eval.len();
     let mut spec = QueryBatch::new(&queries, query)
         .engine(engine)
-        .envelope_cache(env_cache)
         .budget(budget);
     let coreset = match (coreset_eps, &data) {
         (Some(ceps), Some(data)) => {
@@ -366,13 +358,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         }
         spec = spec.threads(t);
     }
-    let dual = p.has("dual");
-    let report = if dual {
-        spec.try_run_dual_any(&eval)
-    } else {
-        spec.try_run_any(&eval)
-    }
-    .map_err(|e| e.to_string())?;
+    let report = spec.try_run_any(&eval).map_err(|e| e.to_string())?;
 
     let mut out = String::with_capacity(queries.len() * 8);
     let mut failed = 0usize;
@@ -395,13 +381,12 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     }
     let _ = writeln!(
         out,
-        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, engine {engine:?}, envelope-cache {}, simd {})",
+        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, engine {engine:?}, simd {})",
         report.throughput(),
         n,
         gamma,
         method,
         report.threads(),
-        if env_cache { "on" } else { "off" },
         backend_name()
     );
     if let Some(cs) = &coreset {
@@ -458,14 +443,10 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         let s = report.stats();
         let _ = writeln!(
             out,
-            "# stats nodes_refined {} envelopes_built {} cache_hits {} cache_misses {} curve_value_calls {} dual_pairs_scored {} dual_wholesale_decided {} coreset_decided {} coreset_fallthrough {} simd_backend {}",
+            "# stats nodes_refined {} envelopes_built {} curve_value_calls {} coreset_decided {} coreset_fallthrough {} simd_backend {}",
             s.nodes_refined,
             s.envelopes_built,
-            s.cache_hits,
-            s.cache_misses,
             s.curve_value_calls,
-            s.dual_pairs_scored,
-            s.dual_wholesale_decided,
             s.coreset_decided,
             s.coreset_fallthrough,
             s.simd_backend
@@ -572,6 +553,9 @@ pub fn serve(p: &Parsed) -> Result<CmdOutput, String> {
     let queue_cap: usize = p
         .get_or("queue", defaults.queue_cap, "a queue capacity")
         .map_err(|e| e.to_string())?;
+    // `..defaults` fills the test-only fault plan when a workspace build
+    // unifies karl-core's `fault-inject` feature; otherwise it is a no-op.
+    #[allow(clippy::needless_update)]
     let cfg = ServeConfig {
         queue_cap,
         // Unless pinned, the shed watermark tracks the queue at 3/4 —
@@ -590,6 +574,7 @@ pub fn serve(p: &Parsed) -> Result<CmdOutput, String> {
         summary_every: p
             .get_or("summary-every", 0u64, "a request count")
             .map_err(|e| e.to_string())?,
+        ..defaults
     };
 
     let mut server = Server::new(&eval, cfg).map_err(|e| e.to_string())?;

@@ -36,18 +36,11 @@ commands:
   batch     (--data FILE | --index FILE) --queries FILE
             (--tau T | --eps E | --tol W)
             [--method karl|sota] [--leaf CAP] [--gamma G] [--threads N]
-            [--engine frozen|pointer] [--envelope-cache on|off] [--stats]
+            [--engine frozen|pointer] [--stats]
             [--budget-nodes N] [--budget-leaf P] [--deadline-ms MS]
-            [--dual] [--coreset EPS] [--simd auto|avx2|scalar]
-            [--stats-json FILE]
+            [--coreset EPS] [--simd auto|avx2|scalar] [--stats-json FILE]
             parallel batch engine; KARL_THREADS env sets the default N;
             frozen (default) is the SoA index, bitwise equal to pointer;
-            envelope-cache (default off) memoizes exact KARL envelopes,
-            paying off when queries repeat — a pure perf switch, answers
-            are bitwise identical either way;
-            --dual (default off) freezes a second tree over the queries
-            and decides whole query nodes at once from joint intervals
-            (TKAQ); answers are identical to the default engine;
             --stats prints run counters (needs the `stats` build feature);
             budget flags bound each query's refinement (nodes refined,
             leaf points scanned, wall-clock deadline) — queries that hit
@@ -389,101 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_envelope_cache_flag_is_bitwise_neutral() {
-        let data = tmp("batch_envcache.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "400",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let run_cache = |setting: &str| {
-            run_vec(&[
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                "--eps",
-                "0.15",
-                "--threads",
-                "2",
-                "--envelope-cache",
-                setting,
-            ])
-            .unwrap()
-        };
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        let on = run_cache("on");
-        let off = run_cache("off");
-        assert_eq!(strip(&on), strip(&off));
-        assert!(on.contains("envelope-cache on"));
-        assert!(off.contains("envelope-cache off"));
-        let err = run_vec(&[
-            "batch",
-            "--data",
-            data.to_str().unwrap(),
-            "--queries",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.15",
-            "--envelope-cache",
-            "maybe",
-        ])
-        .unwrap_err();
-        assert!(err.contains("on|off"));
-    }
-
-    #[test]
-    fn batch_dual_flag_output_is_byte_identical_to_default() {
-        let data = tmp("batch_dual.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "400",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        // All three query types; --dual answer lines must match the
-        // default engine byte for byte ('#' diagnostics carry timings).
-        for spec in [["--tau", "0.3"], ["--eps", "0.15"], ["--tol", "0.05"]] {
-            let mut args = vec![
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                spec[0],
-                spec[1],
-                "--threads",
-                "2",
-            ];
-            let single = run_vec(&args).unwrap();
-            args.push("--dual");
-            let dual = run_vec(&args).unwrap();
-            assert_eq!(strip(&dual), strip(&single), "{spec:?}");
-        }
-    }
-
-    #[test]
     fn coreset_build_reports_a_certificate() {
         let data = tmp("coreset_build.csv");
         run_vec(&[
@@ -619,8 +517,6 @@ mod tests {
             for field in [
                 "nodes_refined",
                 "envelopes_built",
-                "cache_hits",
-                "cache_misses",
                 "curve_value_calls",
                 "coreset_decided",
                 "coreset_fallthrough",

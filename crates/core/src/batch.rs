@@ -24,21 +24,6 @@
 //! `KARL_THREADS` environment variable → `available_parallelism`, and is
 //! finally capped by the number of queries.
 //!
-//! # Dual-tree evaluation
-//!
-//! [`QueryBatch::run_dual`] amortizes bound work *across* queries: it
-//! freezes a second tree over the query set, scores query-node ×
-//! data-node **pair intervals** (valid for every query in the query
-//! node), and accepts or prunes a whole query node at once when the
-//! joint interval decides a TKAQ predicate for all its members. When
-//! neither side's interval decides, the descent splits whichever side
-//! of the widest pair has the larger spatial spread; child query nodes
-//! inherit the parent's refined frontier intervals verbatim (sound,
-//! since the child's region is a subset) and re-score pairs lazily,
-//! gap-first. Query nodes the descent cannot decide fall back to the
-//! exact per-query loop above, so answers stay equivalent to
-//! [`QueryBatch::run`] at any thread count.
-//!
 //! ```
 //! use karl_core::{BoundMethod, Evaluator, Kernel, Query, QueryBatch};
 //! use karl_geom::{PointSet, Rect};
@@ -58,19 +43,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use karl_geom::PointSet;
-use karl_tree::{freeze_built, FrozenShapes, FrozenTree, NodeId, NodeShape};
+use karl_tree::NodeShape;
 
-use crate::bounds::{
-    assemble_pair, pair_intervals_frozen, BoundMethod, DualQueryContext, PairInterval,
-};
 use crate::error::{self, KarlError};
 #[cfg(feature = "stats")]
 use crate::eval::RunStats;
 use crate::eval::{
-    contribution, decide_tkaq, estimate_ekaq, Budget, Engine, Evaluator, Outcome, Query,
-    RunOutcome, Scratch, TierPath,
+    decide_tkaq, estimate_ekaq, Budget, Engine, Evaluator, Outcome, Query, RunOutcome, Scratch,
+    TierPath,
 };
-use crate::kernel::Kernel;
+#[cfg(feature = "fault-inject")]
+use crate::fault::Fault;
 use crate::tuning::AnyEvaluator;
 
 /// Queries are handed to workers in index chunks of this size: large enough
@@ -80,38 +63,10 @@ use crate::tuning::AnyEvaluator;
 const CHUNK: usize = 16;
 
 /// Between chunks each worker shrinks any scratch buffer that grew past
-/// this many elements (and the envelope cache past this many slots), so a
-/// single adversarial query cannot ratchet a worker's memory for the rest
-/// of the batch. Generous enough that ordinary workloads never hit it —
-/// the envelope cache's own table tops out at the same size.
+/// this many elements, so a single adversarial query cannot ratchet a
+/// worker's memory for the rest of the batch. Generous enough that
+/// ordinary workloads never hit it.
 const SCRATCH_CAP: usize = 1 << 15;
-
-/// Leaf capacity of the tree frozen over the *query* set by the dual
-/// descent. Small leaves keep query MBRs tight (a loose query region
-/// widens every pair interval), while still amortizing one joint
-/// decision over several queries.
-const QUERY_LEAF: usize = 8;
-
-/// Pair-scoring allowance of an *internal* query node:
-/// `DUAL_EXPANSION_PER_QUERY × members + DUAL_EXPANSION_SLACK` scored
-/// pair intervals (expansions and lazy re-scores both count). Internal
-/// nodes exist to route a refined seed frontier to their children (the
-/// spread rule usually splits them long before this cap), so their
-/// allowance is kept small.
-const DUAL_EXPANSION_PER_QUERY: usize = 4;
-/// Pair-scoring allowance multiplier of a *leaf* query node. A leaf is
-/// where a wholesale certificate either completes or its scored pairs
-/// are wasted, and its alternative — per-query fallback — costs roughly
-/// `members × (per-query refinement iterations)`, typically far more
-/// than one joint certificate. The leaf budget is therefore sized
-/// against the fallback cost, not the internal routing cost.
-const DUAL_LEAF_EXPANSION_PER_QUERY: usize = 16;
-/// Constant head-room of the expansion allowance, so singleton query
-/// leaves still get a fair shot at a wholesale decision.
-const DUAL_EXPANSION_SLACK: usize = 32;
-
-/// Per-slot results of a fault-contained run: `(query index, outcome)`.
-type TriedSlots = Vec<(usize, Result<Outcome, KarlError>)>;
 
 /// Coreset-cascade tally of one run (or one worker's share of it): how many
 /// queries tier 1 decided outright vs how many fell through to the full
@@ -157,221 +112,6 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One query-node × data-node pair on the dual frontier, carrying its
-/// contribution-adjusted bound interval (already sign-folded for the P⁻
-/// tree, so frontier intervals always just sum).
-///
-/// `fresh` records whether the interval was scored against the *current*
-/// query node's region. A child query node inherits its parent's frontier
-/// intervals verbatim — the child's region is a subset of the parent's,
-/// so the inherited interval stays sound, merely looser — and re-scores a
-/// stale pair lazily, only when its gap is the one blocking a decision.
-#[derive(Debug, Clone, Copy)]
-struct DualPair {
-    negated: bool,
-    node: NodeId,
-    lb: f64,
-    ub: f64,
-    fresh: bool,
-}
-
-/// What refining one query node's pair frontier concluded.
-enum QnodeVerdict {
-    /// The joint interval decided the predicate for every member query;
-    /// the payload is the synthesized outcome for all of them.
-    Decided(RunOutcome),
-    /// Undecided — descend into the query node's children, seeding them
-    /// with the refined data frontier.
-    Split,
-    /// Undecided at a query leaf (or with a degenerate frontier): the
-    /// members run through the exact per-query loop.
-    Fallback,
-}
-
-/// Immutable configuration of one dual descent.
-struct DualCtx<'a> {
-    tau: f64,
-    kernel: &'a Kernel,
-    method: BoundMethod,
-    qfrozen: &'a FrozenTree,
-    /// `[P⁺, P⁻]` data trees, indexed by `negated as usize`.
-    sides: [Option<&'a FrozenTree>; 2],
-}
-
-/// Reused buffers and counters of one dual descent.
-struct DualBufs {
-    entries: Vec<DualPair>,
-    ivbuf: Vec<PairInterval>,
-    ids: Vec<NodeId>,
-    pairs: u64,
-}
-
-/// Widest extent of a frozen node's bounding volume — the longest
-/// rectangle side, or the ball diameter. The descent splits whichever
-/// side of a pair is wider, since that side's extent dominates the pair
-/// interval's slack.
-fn node_spread(frozen: &FrozenTree, id: NodeId) -> f64 {
-    match frozen.shapes() {
-        FrozenShapes::Rect { lo, hi } => {
-            let d = frozen.dims();
-            let s = id as usize * d;
-            lo[s..s + d]
-                .iter()
-                .zip(&hi[s..s + d])
-                .map(|(l, h)| h - l)
-                .fold(0.0, f64::max)
-        }
-        FrozenShapes::Ball { radius, .. } => 2.0 * radius[id as usize],
-    }
-}
-
-/// Refines the data frontier of one query node until the joint interval
-/// decides the TKAQ predicate for every member, or the descent concludes
-/// that splitting the query node (or per-query fallback) is the better
-/// move. On [`QnodeVerdict::Split`] the refined frontier is left in
-/// `bufs.entries` for the caller to seed the children with.
-fn refine_query_node(
-    cx: &DualCtx<'_>,
-    qnode: NodeId,
-    seeds: &[DualPair],
-    bufs: &mut DualBufs,
-) -> QnodeVerdict {
-    let DualBufs {
-        entries,
-        ivbuf,
-        ids,
-        pairs,
-    } = bufs;
-    let ctx = DualQueryContext::from_frozen(cx.kernel, cx.method, cx.qfrozen, qnode);
-    let curve = ctx.curve();
-    entries.clear();
-    let mut lb_sum = 0.0f64;
-    let mut ub_sum = 0.0f64;
-    for s in seeds {
-        // Inherited intervals were scored for an ancestor's (wider) query
-        // region; this node's region is a subset, so they stay sound and
-        // enter stale — re-scored lazily below, gap-first.
-        lb_sum += s.lb;
-        ub_sum += s.ub;
-        entries.push(DualPair { fresh: false, ..*s });
-    }
-    let (start, end) = cx.qfrozen.range(qnode);
-    let q_internal = !cx.qfrozen.is_leaf(qnode);
-    let per_query = if q_internal {
-        DUAL_EXPANSION_PER_QUERY
-    } else {
-        DUAL_LEAF_EXPANSION_PER_QUERY
-    };
-    let cap = per_query * (end - start) + DUAL_EXPANSION_SLACK;
-    let qspread = node_spread(cx.qfrozen, qnode);
-    let mut scored = 0usize;
-    loop {
-        if lb_sum >= cx.tau || ub_sum < cx.tau {
-            // Sound for every member query: each pair interval encloses
-            // that node's contribution for *all* queries in the node, so
-            // the summed interval encloses every member's aggregate.
-            return QnodeVerdict::Decided(RunOutcome {
-                lb: lb_sum,
-                ub: ub_sum,
-                iterations: 0,
-            });
-        }
-        // Widest actionable pair: stale pairs can be re-scored for this
-        // region, fresh internal pairs can be expanded; fresh data-leaf
-        // pairs are inert. Ties break on (node id, P⁺ before P⁻) so the
-        // descent is a pure function of the batch.
-        let mut best: Option<usize> = None;
-        for (i, e) in entries.iter().enumerate() {
-            let frozen = cx.sides[e.negated as usize].expect("frontier entry without tree");
-            if e.fresh && frozen.is_leaf(e.node) {
-                continue;
-            }
-            best = Some(match best {
-                None => i,
-                Some(j) => {
-                    let o = &entries[j];
-                    let (gi, gj) = (e.ub - e.lb, o.ub - o.lb);
-                    if gi > gj || (gi == gj && (e.node, e.negated) < (o.node, o.negated)) {
-                        i
-                    } else {
-                        j
-                    }
-                }
-            });
-        }
-        let Some(bi) = best else {
-            // All-fresh, all-leaf frontier: the joint interval cannot
-            // tighten any further without per-query information.
-            return if q_internal {
-                QnodeVerdict::Split
-            } else {
-                QnodeVerdict::Fallback
-            };
-        };
-        if scored >= cap {
-            return if q_internal {
-                QnodeVerdict::Split
-            } else {
-                QnodeVerdict::Fallback
-            };
-        }
-        let e = entries[bi];
-        let dfrozen = cx.sides[e.negated as usize].expect("actionable entry without tree");
-        if !e.fresh {
-            // Lazy re-score against this node's tighter query region.
-            scored += 1;
-            ids.clear();
-            ids.push(e.node);
-            pair_intervals_frozen(&ctx, dfrozen, ids, ivbuf);
-            *pairs += 1;
-            let b = assemble_pair(cx.method, curve, &ivbuf[0]);
-            let (elb, eub) = contribution(&b, e.negated);
-            lb_sum += elb - e.lb;
-            ub_sum += eub - e.ub;
-            entries[bi] = DualPair {
-                lb: elb,
-                ub: eub,
-                fresh: true,
-                ..e
-            };
-            continue;
-        }
-        if q_internal && qspread > node_spread(dfrozen, e.node) {
-            return QnodeVerdict::Split;
-        }
-        entries.swap_remove(bi);
-        lb_sum -= e.lb;
-        ub_sum -= e.ub;
-        ids.clear();
-        let gathered = dfrozen.gather_children(e.node, ids);
-        debug_assert!(gathered, "non-leaf node has children");
-        pair_intervals_frozen(&ctx, dfrozen, ids, ivbuf);
-        *pairs += ivbuf.len() as u64;
-        scored += ivbuf.len();
-        for iv in ivbuf.iter() {
-            let b = assemble_pair(cx.method, curve, iv);
-            let (elb, eub) = contribution(&b, e.negated);
-            lb_sum += elb;
-            ub_sum += eub;
-            entries.push(DualPair {
-                negated: e.negated,
-                node: iv.node,
-                lb: elb,
-                ub: eub,
-                fresh: true,
-            });
-        }
-    }
-}
-
-/// Result of the simultaneous descent: which queries were decided
-/// wholesale (and with what synthesized outcome), plus how many pair
-/// intervals the descent scored getting there.
-struct DualPlan {
-    decided: Vec<Option<RunOutcome>>,
-    pairs: u64,
-}
-
 /// A set of queries to evaluate under one query specification.
 ///
 /// Built once, runnable against any evaluator whose dimensionality matches;
@@ -383,9 +123,11 @@ pub struct QueryBatch<'a> {
     threads: Option<usize>,
     level_cap: Option<u16>,
     engine: Engine,
-    env_cache: bool,
     budget: Budget,
     coreset: bool,
+    /// `(slot, fault)` pairs to inject; see [`faults`](Self::faults).
+    #[cfg(feature = "fault-inject")]
+    faults: Vec<(usize, Fault)>,
 }
 
 impl<'a> QueryBatch<'a> {
@@ -410,9 +152,10 @@ impl<'a> QueryBatch<'a> {
             threads: None,
             level_cap: None,
             engine: Engine::default(),
-            env_cache: false,
             budget: Budget::UNLIMITED,
             coreset: false,
+            #[cfg(feature = "fault-inject")]
+            faults: Vec::new(),
         })
     }
 
@@ -442,24 +185,12 @@ impl<'a> QueryBatch<'a> {
         self
     }
 
-    /// Enables or disables the per-worker envelope memoization (default
-    /// off). Purely a performance switch — outcomes are bitwise identical
-    /// either way. Turn it on for duplicate-heavy query streams, where a
-    /// repeated `(curve, lo, hi, x̄)` key costs a hash probe instead of an
-    /// envelope build; on streams of distinct keys every probe misses and
-    /// the table is pure overhead, which is why it is opt-in.
-    pub fn envelope_cache(mut self, on: bool) -> Self {
-        self.env_cache = on;
-        self
-    }
-
     /// Enables the coreset cascade (default off): per-query evaluation
     /// first refines on the evaluator's attached coreset tier (see
     /// [`Evaluator::with_coreset_tier`]) and only falls through to the
     /// full tree when the widened interval cannot decide. A no-op on
-    /// evaluators without a tier. Applies wherever the per-query path
-    /// runs — [`run`](Self::run), [`try_run`](Self::try_run), and the
-    /// per-query fallback of the dual-tree entry points.
+    /// evaluators without a tier. Applies to both [`run`](Self::run) and
+    /// [`try_run`](Self::try_run).
     ///
     /// Answer contract (`tests/coreset_cascade_equivalence.rs`): TKAQ
     /// decisions and `Within` results are identical to the cascade-off
@@ -481,6 +212,18 @@ impl<'a> QueryBatch<'a> {
     /// budgets and panics if one is set.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
+        self
+    }
+
+    /// Plans injected faults for [`try_run`](Self::try_run) (test-only,
+    /// feature `fault-inject`): each `(slot, fault)` pair makes query
+    /// `slot` of this batch panic inside its contained evaluation, or
+    /// evaluate an all-NaN point in place of its own. The plan belongs to
+    /// this batch alone, so concurrent batches never see each other's
+    /// faults. Slots beyond the batch never fire.
+    #[cfg(feature = "fault-inject")]
+    pub fn faults(mut self, plan: &[(usize, Fault)]) -> Self {
+        self.faults = plan.to_vec();
         self
     }
 
@@ -508,7 +251,6 @@ impl<'a> QueryBatch<'a> {
         let start = Instant::now();
         let (outcomes, scratches, tier) = if threads <= 1 {
             let mut scratch = Scratch::new();
-            scratch.set_envelope_cache(self.env_cache);
             let mut tier = TierCounts::default();
             let out = (0..n)
                 .map(|i| self.run_one_unchecked(eval, self.queries.point(i), &mut scratch, &mut tier))
@@ -534,8 +276,6 @@ impl<'a> QueryBatch<'a> {
             threads,
             elapsed,
             outcomes,
-            dual_pairs: 0,
-            dual_wholesale: 0,
             coreset_decided: tier.decided,
             coreset_fallthrough: tier.fell,
             #[cfg(feature = "stats")]
@@ -601,7 +341,6 @@ impl<'a> QueryBatch<'a> {
         let start = Instant::now();
         let (results, scratches, quarantined, tier) = if threads <= 1 {
             let mut scratch = Scratch::new();
-            scratch.set_envelope_cache(self.env_cache);
             let mut quarantined = 0usize;
             let mut tier = TierCounts::default();
             let out = (0..n)
@@ -629,8 +368,6 @@ impl<'a> QueryBatch<'a> {
             elapsed,
             results,
             quarantined,
-            dual_pairs: 0,
-            dual_wholesale: 0,
             coreset_decided: tier.decided,
             coreset_fallthrough: tier.fell,
             #[cfg(feature = "stats")]
@@ -644,419 +381,6 @@ impl<'a> QueryBatch<'a> {
             AnyEvaluator::Kd(e) => self.try_run(e),
             AnyEvaluator::Ball(e) => self.try_run(e),
         }
-    }
-
-    /// Dual-tree batch evaluation: freezes a second tree over the query
-    /// set (same shape family as the data tree), runs a simultaneous
-    /// descent scoring query-node × data-node pair intervals, and — for
-    /// TKAQ batches — decides whole query nodes at once when a joint
-    /// interval clears (or misses) `τ` for every member. Undecided query
-    /// nodes, and every eKAQ / Within batch, complete through the exact
-    /// per-query loop of [`run`](Self::run).
-    ///
-    /// Answers are equivalent to [`run`](Self::run) at any thread count:
-    /// [`BatchOutcome::decisions`], [`BatchOutcome::estimates`] and
-    /// [`BatchOutcome::intervals`] are bitwise identical. Raw
-    /// [`BatchOutcome::outcomes`] of wholesale-decided TKAQ queries carry
-    /// the joint interval with `iterations == 0` instead of that query's
-    /// own refinement endpoint (a wholesale decision never reaches the
-    /// per-query refinement), which is why eKAQ / Within batches — whose
-    /// *answers* are the interval itself — never take the wholesale path.
-    ///
-    /// The descent itself is single-threaded (its work is sublinear in
-    /// the batch on workloads where it helps); only the per-query
-    /// fallback fans out to workers.
-    ///
-    /// # Panics
-    /// Same contract as [`run`](Self::run): dimensionality mismatch, a
-    /// configured budget, or a worker panic.
-    pub fn run_dual<S: NodeShape + Sync>(&self, eval: &Evaluator<S>) -> BatchOutcome {
-        assert_eq!(
-            self.queries.dims(),
-            eval.dims(),
-            "query dimensionality mismatch"
-        );
-        assert!(
-            self.budget.is_unlimited(),
-            "budgeted batches must use try_run_dual (run_dual cannot represent truncated outcomes)"
-        );
-        let n = self.queries.len();
-        let threads = resolve_threads(self.threads).min(n.max(1));
-        let start = Instant::now();
-        let plan = self.plan_dual(eval);
-        let pending: Vec<usize> = (0..n).filter(|&i| plan.decided[i].is_none()).collect();
-        let mut outcomes: Vec<RunOutcome> = plan
-            .decided
-            .iter()
-            .map(|d| {
-                d.unwrap_or(RunOutcome {
-                    lb: 0.0,
-                    ub: 0.0,
-                    iterations: 0,
-                })
-            })
-            .collect();
-        let (filled, scratches, tier) = self.run_pending(eval, &pending, threads);
-        for (i, out) in filled {
-            outcomes[i] = out;
-        }
-        let elapsed = start.elapsed();
-        let dual_wholesale = (n - pending.len()) as u64;
-        #[cfg(feature = "stats")]
-        let stats = {
-            let mut s = RunStats::default();
-            for sc in &scratches {
-                s.merge(&sc.stats());
-            }
-            s.dual_pairs_scored += plan.pairs;
-            s.dual_wholesale_decided += dual_wholesale;
-            s.coreset_decided += tier.decided;
-            s.coreset_fallthrough += tier.fell;
-            s
-        };
-        let _ = scratches;
-        BatchOutcome {
-            query: self.query,
-            threads,
-            elapsed,
-            outcomes,
-            dual_pairs: plan.pairs,
-            dual_wholesale,
-            coreset_decided: tier.decided,
-            coreset_fallthrough: tier.fell,
-            #[cfg(feature = "stats")]
-            stats,
-        }
-    }
-
-    /// [`run_dual`](Self::run_dual) over a runtime-dispatched evaluator.
-    pub fn run_dual_any(&self, eval: &AnyEvaluator) -> BatchOutcome {
-        match eval {
-            AnyEvaluator::Kd(e) => self.run_dual(e),
-            AnyEvaluator::Ball(e) => self.run_dual(e),
-        }
-    }
-
-    /// Fault-contained, budget-aware [`run_dual`](Self::run_dual):
-    /// wholesale-decided queries report `Outcome::Complete` (a joint
-    /// decision costs zero refinement iterations, so no budget can trip
-    /// it); every other query runs through the same contained per-query
-    /// path as [`try_run`](Self::try_run), honoring the configured
-    /// [`Budget`] with certified `Outcome::Truncated` intervals.
-    ///
-    /// Fault-planned queries (under the `fault-inject` feature) are
-    /// excluded from wholesale acceptance so a planted fault surfaces in
-    /// exactly its own result slot rather than being masked by a joint
-    /// decision.
-    pub fn try_run_dual<S: NodeShape + Sync>(
-        &self,
-        eval: &Evaluator<S>,
-    ) -> Result<BatchReport, KarlError> {
-        if self.queries.dims() != eval.dims() {
-            return Err(KarlError::DimMismatch {
-                expected: eval.dims(),
-                got: self.queries.dims(),
-            });
-        }
-        error::validate_spec(self.query)?;
-        let n = self.queries.len();
-        let threads = resolve_threads(self.threads).min(n.max(1));
-        let start = Instant::now();
-        let plan = self.plan_dual(eval);
-        let mut results: Vec<Result<Outcome, KarlError>> = Vec::with_capacity(n);
-        results.resize_with(n, || Err(KarlError::EmptyPoints));
-        let mut pending = Vec::new();
-        for (i, d) in plan.decided.iter().enumerate() {
-            #[cfg(feature = "fault-inject")]
-            let d = if crate::fault::planned(i).is_some() {
-                &None
-            } else {
-                d
-            };
-            match d {
-                Some(out) => results[i] = Ok(Outcome::Complete(*out)),
-                None => pending.push(i),
-            }
-        }
-        let (filled, scratches, quarantined, tier) = self.try_run_pending(eval, &pending, threads);
-        for (i, r) in filled {
-            results[i] = r;
-        }
-        let elapsed = start.elapsed();
-        let dual_wholesale = (n - pending.len()) as u64;
-        #[cfg(feature = "stats")]
-        let stats = {
-            let mut s = RunStats::default();
-            for sc in &scratches {
-                s.merge(&sc.stats());
-            }
-            s.dual_pairs_scored += plan.pairs;
-            s.dual_wholesale_decided += dual_wholesale;
-            s.coreset_decided += tier.decided;
-            s.coreset_fallthrough += tier.fell;
-            s
-        };
-        let _ = scratches;
-        Ok(BatchReport {
-            query: self.query,
-            threads,
-            elapsed,
-            results,
-            quarantined,
-            dual_pairs: plan.pairs,
-            dual_wholesale,
-            coreset_decided: tier.decided,
-            coreset_fallthrough: tier.fell,
-            #[cfg(feature = "stats")]
-            stats,
-        })
-    }
-
-    /// [`try_run_dual`](Self::try_run_dual) over a runtime-dispatched
-    /// evaluator.
-    pub fn try_run_dual_any(&self, eval: &AnyEvaluator) -> Result<BatchReport, KarlError> {
-        match eval {
-            AnyEvaluator::Kd(e) => self.try_run_dual(e),
-            AnyEvaluator::Ball(e) => self.try_run_dual(e),
-        }
-    }
-
-    /// Runs the simultaneous descent and returns which queries a joint
-    /// interval decided. Non-TKAQ batches, empty batches, and batches
-    /// with non-finite query coordinates skip the descent entirely (an
-    /// all-`None` plan routes everything through the per-query path —
-    /// NaN coordinates would poison the query tree's bounding volumes).
-    fn plan_dual<S: NodeShape>(&self, eval: &Evaluator<S>) -> DualPlan {
-        let n = self.queries.len();
-        let mut plan = DualPlan {
-            decided: vec![None; n],
-            pairs: 0,
-        };
-        let Query::Tkaq { tau } = self.query else {
-            return plan;
-        };
-        if n == 0 {
-            return plan;
-        }
-        if self
-            .queries
-            .iter()
-            .any(|q| q.iter().any(|v| !v.is_finite()))
-        {
-            return plan;
-        }
-        // Query weights are irrelevant to the descent; all-ones keeps the
-        // builder's augmented statistics trivially valid.
-        let ones = vec![1.0f64; n];
-        let (qtree, qfrozen) = freeze_built::<S>(self.queries.clone(), &ones, QUERY_LEAF);
-        let qperm = qtree.perm();
-        let cx = DualCtx {
-            tau,
-            kernel: eval.kernel(),
-            method: eval.method(),
-            qfrozen: &qfrozen,
-            sides: [eval.pos_frozen(), eval.neg_frozen()],
-        };
-        let mut bufs = DualBufs {
-            entries: Vec::new(),
-            ivbuf: Vec::new(),
-            ids: Vec::new(),
-            pairs: 0,
-        };
-        // Root seeds need real intervals (a child may inherit them before
-        // ever re-scoring), so score the tree roots against the root
-        // query node explicitly.
-        let root_ctx = DualQueryContext::from_frozen(cx.kernel, cx.method, &qfrozen, qfrozen.root());
-        let root_curve = root_ctx.curve();
-        let mut seeds_root: Vec<DualPair> = Vec::new();
-        for (negated, side) in [(false, cx.sides[0]), (true, cx.sides[1])] {
-            if let Some(f) = side {
-                bufs.ids.clear();
-                bufs.ids.push(f.root());
-                pair_intervals_frozen(&root_ctx, f, &bufs.ids, &mut bufs.ivbuf);
-                bufs.pairs += 1;
-                let b = assemble_pair(cx.method, root_curve, &bufs.ivbuf[0]);
-                let (lb, ub) = contribution(&b, negated);
-                seeds_root.push(DualPair {
-                    negated,
-                    node: f.root(),
-                    lb,
-                    ub,
-                    fresh: true,
-                });
-            }
-        }
-        let mut kids: Vec<NodeId> = Vec::new();
-        let mut stack: Vec<(NodeId, Vec<DualPair>)> = vec![(qfrozen.root(), seeds_root)];
-        while let Some((qnode, seeds)) = stack.pop() {
-            match refine_query_node(&cx, qnode, &seeds, &mut bufs) {
-                QnodeVerdict::Decided(out) => {
-                    let (start, end) = qfrozen.range(qnode);
-                    for &p in &qperm[start..end] {
-                        plan.decided[p as usize] = Some(out);
-                    }
-                }
-                QnodeVerdict::Split => {
-                    let seeds = bufs.entries.clone();
-                    kids.clear();
-                    let gathered = qfrozen.gather_children(qnode, &mut kids);
-                    debug_assert!(gathered, "split verdict only on internal query nodes");
-                    for &c in kids.iter() {
-                        stack.push((c, seeds.clone()));
-                    }
-                }
-                QnodeVerdict::Fallback => {}
-            }
-        }
-        plan.pairs = bufs.pairs;
-        plan
-    }
-
-    /// Runs the undecided subset of a dual batch through the exact
-    /// per-query loop, sequentially or over scoped workers pulling
-    /// chunks of the pending index list. Results come back tagged with
-    /// their original slot.
-    fn run_pending<S: NodeShape + Sync>(
-        &self,
-        eval: &Evaluator<S>,
-        pending: &[usize],
-        threads: usize,
-    ) -> (Vec<(usize, RunOutcome)>, Vec<Scratch>, TierCounts) {
-        let m = pending.len();
-        let workers = threads.min(m.max(1));
-        if workers <= 1 {
-            let mut scratch = Scratch::new();
-            scratch.set_envelope_cache(self.env_cache);
-            let mut tier = TierCounts::default();
-            let out = pending
-                .iter()
-                .map(|&i| {
-                    let out = self.run_one_unchecked(
-                        eval,
-                        self.queries.point(i),
-                        &mut scratch,
-                        &mut tier,
-                    );
-                    (i, out)
-                })
-                .collect();
-            return (out, vec![scratch], tier);
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = Scratch::new();
-                        scratch.set_envelope_cache(self.env_cache);
-                        let mut tier = TierCounts::default();
-                        let mut local: Vec<(usize, RunOutcome)> =
-                            Vec::with_capacity(m / workers + CHUNK);
-                        loop {
-                            let lo = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if lo >= m {
-                                break;
-                            }
-                            let hi = (lo + CHUNK).min(m);
-                            for &i in &pending[lo..hi] {
-                                let out = self.run_one_unchecked(
-                                    eval,
-                                    self.queries.point(i),
-                                    &mut scratch,
-                                    &mut tier,
-                                );
-                                local.push((i, out));
-                            }
-                            scratch.reset_with_capacity_cap(SCRATCH_CAP);
-                        }
-                        (local, scratch, tier)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(m);
-            let mut scratches = Vec::with_capacity(workers);
-            let mut tier = TierCounts::default();
-            for h in handles {
-                let (local, scratch, t) = h.join().expect("batch worker panicked");
-                out.extend(local);
-                scratches.push(scratch);
-                tier.add(&t);
-            }
-            (out, scratches, tier)
-        })
-    }
-
-    /// Fault-contained, budget-aware twin of
-    /// [`run_pending`](Self::run_pending).
-    fn try_run_pending<S: NodeShape + Sync>(
-        &self,
-        eval: &Evaluator<S>,
-        pending: &[usize],
-        threads: usize,
-    ) -> (TriedSlots, Vec<Scratch>, usize, TierCounts) {
-        let m = pending.len();
-        let workers = threads.min(m.max(1));
-        if workers <= 1 {
-            let mut scratch = Scratch::new();
-            scratch.set_envelope_cache(self.env_cache);
-            let mut quarantined = 0usize;
-            let mut tier = TierCounts::default();
-            let out = pending
-                .iter()
-                .map(|&i| {
-                    let r =
-                        self.run_one_contained(eval, i, &mut scratch, &mut quarantined, &mut tier);
-                    (i, r)
-                })
-                .collect();
-            return (out, vec![scratch], quarantined, tier);
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = Scratch::new();
-                        scratch.set_envelope_cache(self.env_cache);
-                        let mut quarantined = 0usize;
-                        let mut tier = TierCounts::default();
-                        let mut local: Vec<(usize, Result<Outcome, KarlError>)> =
-                            Vec::with_capacity(m / workers + CHUNK);
-                        loop {
-                            let lo = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if lo >= m {
-                                break;
-                            }
-                            let hi = (lo + CHUNK).min(m);
-                            for &i in &pending[lo..hi] {
-                                let r = self.run_one_contained(
-                                    eval,
-                                    i,
-                                    &mut scratch,
-                                    &mut quarantined,
-                                    &mut tier,
-                                );
-                                local.push((i, r));
-                            }
-                            scratch.reset_with_capacity_cap(SCRATCH_CAP);
-                        }
-                        (local, scratch, quarantined, tier)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(m);
-            let mut scratches = Vec::with_capacity(workers);
-            let mut quarantined = 0usize;
-            let mut tier = TierCounts::default();
-            for h in handles {
-                let (local, scratch, q, t) = h.join().expect("batch worker panicked");
-                out.extend(local);
-                scratches.push(scratch);
-                quarantined += q;
-                tier.add(&t);
-            }
-            (out, scratches, quarantined, tier)
-        })
     }
 
     /// Evaluates query `i` with panic containment. On a panic the scratch
@@ -1075,13 +399,17 @@ impl<'a> QueryBatch<'a> {
         // so no broken invariant can escape the unwind.
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
-            match crate::fault::planned(i) {
-                Some(crate::fault::Fault::Panic) => panic!("injected fault at query {i}"),
-                Some(crate::fault::Fault::Nan) => {
-                    // Fault-planned queries skip the coreset tier
-                    // (mirroring the dual wholesale exclusion): a planted
-                    // fault must surface in its own slot, never be decided
-                    // away by the tier.
+            match self
+                .faults
+                .iter()
+                .find(|(slot, _)| *slot == i)
+                .map(|(_, f)| *f)
+            {
+                Some(Fault::Panic) => panic!("injected fault at query {i}"),
+                Some(Fault::Nan) => {
+                    // Fault-planned queries skip the coreset tier: a
+                    // planted fault must surface in its own slot, never be
+                    // decided away by the tier.
                     let nan_q = vec![f64::NAN; self.queries.dims()];
                     return eval
                         .run_budgeted_with_scratch_on(
@@ -1124,7 +452,6 @@ impl<'a> QueryBatch<'a> {
             }),
             Err(payload) => {
                 *scratch = Scratch::new();
-                scratch.set_envelope_cache(self.env_cache);
                 *quarantined += 1;
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -1155,7 +482,6 @@ impl<'a> QueryBatch<'a> {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut scratch = Scratch::new();
-                        scratch.set_envelope_cache(self.env_cache);
                         let mut quarantined = 0usize;
                         let mut tier = TierCounts::default();
                         let mut local: Vec<(usize, Result<Outcome, KarlError>)> =
@@ -1216,7 +542,6 @@ impl<'a> QueryBatch<'a> {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut scratch = Scratch::new();
-                        scratch.set_envelope_cache(self.env_cache);
                         let mut tier = TierCounts::default();
                         let mut local: Vec<(usize, RunOutcome)> =
                             Vec::with_capacity(n / threads + CHUNK);
@@ -1238,8 +563,7 @@ impl<'a> QueryBatch<'a> {
                             // Bound the worker's memory between chunks: one
                             // adversarial query must not ratchet allocations
                             // for the rest of the batch. A no-op while every
-                            // buffer stays under the cap, so warm envelope
-                            // cache entries survive ordinary workloads.
+                            // buffer stays under the cap.
                             scratch.reset_with_capacity_cap(SCRATCH_CAP);
                         }
                         (local, scratch, tier)
@@ -1278,8 +602,6 @@ pub struct BatchOutcome {
     threads: usize,
     elapsed: Duration,
     outcomes: Vec<RunOutcome>,
-    dual_pairs: u64,
-    dual_wholesale: u64,
     coreset_decided: u64,
     coreset_fallthrough: u64,
     #[cfg(feature = "stats")]
@@ -1293,10 +615,8 @@ impl BatchOutcome {
     }
 
     /// Run counters summed across all workers (behind the `stats`
-    /// feature). `nodes_refined` is deterministic at any thread count
-    /// (outcomes are bitwise identical); the envelope/cache counters are
-    /// not — each worker warms its own cache, so how queries were dealt
-    /// to workers changes what hits.
+    /// feature). Every counter is deterministic at any thread count: each
+    /// query's work is a pure function of the query.
     #[cfg(feature = "stats")]
     pub fn stats(&self) -> RunStats {
         self.stats
@@ -1337,19 +657,6 @@ impl BatchOutcome {
         self.outcomes.iter().map(|o| o.iterations).sum()
     }
 
-    /// Query-node × data-node pair intervals scored by the dual-tree
-    /// descent. Zero for [`QueryBatch::run`].
-    pub fn dual_pairs(&self) -> u64 {
-        self.dual_pairs
-    }
-
-    /// Queries decided wholesale by a joint query-node interval in
-    /// [`QueryBatch::run_dual`], without any per-query refinement. Zero
-    /// for [`QueryBatch::run`].
-    pub fn dual_wholesale(&self) -> u64 {
-        self.dual_wholesale
-    }
-
     /// Queries the coreset front tier decided outright (the full tree was
     /// never touched). Zero when [`QueryBatch::coreset`] is off or the
     /// evaluator carries no tier.
@@ -1363,15 +670,6 @@ impl BatchOutcome {
     /// neither tally).
     pub fn coreset_fallthrough(&self) -> u64 {
         self.coreset_fallthrough
-    }
-
-    /// Total node visits attributable to a dual run: pair intervals
-    /// scored by the descent plus refinement iterations of the
-    /// per-query fallback. Comparable against
-    /// [`total_iterations`](Self::total_iterations) of a single-tree
-    /// run of the same batch.
-    pub fn dual_node_visits(&self) -> u64 {
-        self.dual_pairs + self.total_iterations() as u64
     }
 
     /// TKAQ decisions, in query order.
@@ -1426,8 +724,6 @@ pub struct BatchReport {
     elapsed: Duration,
     results: Vec<Result<Outcome, KarlError>>,
     quarantined: usize,
-    dual_pairs: u64,
-    dual_wholesale: u64,
     coreset_decided: u64,
     coreset_fallthrough: u64,
     #[cfg(feature = "stats")]
@@ -1459,20 +755,6 @@ impl BatchReport {
     /// panic (at most once per failed query).
     pub fn quarantined(&self) -> usize {
         self.quarantined
-    }
-
-    /// Query-node × data-node pair intervals scored by the dual-tree
-    /// descent. Zero for [`QueryBatch::try_run`].
-    pub fn dual_pairs(&self) -> u64 {
-        self.dual_pairs
-    }
-
-    /// Queries decided wholesale by a joint query-node interval in
-    /// [`QueryBatch::try_run_dual`], without any per-query refinement
-    /// (fault-planned queries never count — they always take the
-    /// contained per-query path). Zero for [`QueryBatch::try_run`].
-    pub fn dual_wholesale(&self) -> u64 {
-        self.dual_wholesale
     }
 
     /// Queries the coreset front tier decided outright (fault-planned
@@ -1637,39 +919,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn envelope_cache_toggle_is_bit_identical_at_any_thread_count() {
-        let ps = clustered_points(300, 3, 20);
-        let w = mixed_weights(300, 21);
-        let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.6), BoundMethod::Karl, 8);
-        // Duplicate-heavy query stream: exercises actual cache hits, not
-        // just the insert path.
-        let base = clustered_points(12, 3, 22);
-        let queries = PointSet::new(
-            3,
-            (0..36).flat_map(|i| base.point(i % 12).to_vec()).collect(),
-        );
-        for query in [
-            Query::Tkaq { tau: 0.2 },
-            Query::Ekaq { eps: 0.1 },
-            Query::Within { tol: 0.05 },
-        ] {
-            let on = QueryBatch::new(&queries, query)
-                .threads(1)
-                .envelope_cache(true)
-                .run(&eval);
-            for threads in [1, 2, 4, 8] {
-                let off = QueryBatch::new(&queries, query).threads(threads).run(&eval);
-                let on_t = QueryBatch::new(&queries, query)
-                    .threads(threads)
-                    .envelope_cache(true)
-                    .run(&eval);
-                assert_eq!(on.outcomes(), off.outcomes(), "{query:?} x{threads}");
-                assert_eq!(on.outcomes(), on_t.outcomes(), "{query:?} x{threads}");
-            }
-        }
-    }
-
     #[cfg(feature = "stats")]
     #[test]
     fn batch_stats_aggregate_across_workers() {
@@ -1682,30 +931,19 @@ mod tests {
             (0..32).flat_map(|i| base.point(i % 8).to_vec()).collect(),
         );
         let query = Query::Ekaq { eps: 0.1 };
-        let seq = QueryBatch::new(&queries, query)
-            .threads(1)
-            .envelope_cache(true)
-            .run(&eval);
-        let par = QueryBatch::new(&queries, query)
-            .threads(4)
-            .envelope_cache(true)
-            .run(&eval);
-        let off = QueryBatch::new(&queries, query).threads(1).run(&eval);
-        // Refinement work is a pure function of the queries.
+        let seq = QueryBatch::new(&queries, query).threads(1).run(&eval);
+        let par = QueryBatch::new(&queries, query).threads(4).run(&eval);
         assert_eq!(
             seq.stats().nodes_refined,
             seq.total_iterations() as u64,
             "nodes_refined counts heap pops"
         );
+        assert!(seq.stats().envelopes_built > 0);
+        // Every counter is a pure function of the queries, so summing the
+        // workers' shares reproduces the sequential totals.
         assert_eq!(seq.stats().nodes_refined, par.stats().nodes_refined);
-        assert_eq!(seq.stats().nodes_refined, off.stats().nodes_refined);
-        // The duplicate stream hits the cache sequentially; with the cache
-        // off every lookup vanishes and every envelope is rebuilt.
-        assert!(seq.stats().cache_hits > 0);
-        assert_eq!(off.stats().cache_hits, 0);
-        assert_eq!(off.stats().cache_misses, 0);
-        assert!(seq.stats().envelopes_built < off.stats().envelopes_built);
-        assert!(seq.stats().curve_value_calls < off.stats().curve_value_calls);
+        assert_eq!(seq.stats().envelopes_built, par.stats().envelopes_built);
+        assert_eq!(seq.stats().curve_value_calls, par.stats().curve_value_calls);
     }
 
     #[test]
@@ -1817,120 +1055,6 @@ mod tests {
     fn non_positive_eps_panics_at_construction() {
         let queries = clustered_points(5, 2, 17);
         QueryBatch::new(&queries, Query::Ekaq { eps: 0.0 });
-    }
-
-    #[test]
-    fn dual_tkaq_decisions_match_and_wholesale_fires() {
-        let ps = clustered_points(500, 3, 40);
-        let w = mixed_weights(500, 41);
-        let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.6), BoundMethod::Karl, 8);
-        // Clustered queries sit far from half the data: joint intervals
-        // decide whole query leaves wholesale at a mid-range τ.
-        let queries = clustered_points(80, 3, 42);
-        let query = Query::Tkaq { tau: 0.05 };
-        let single = QueryBatch::new(&queries, query).threads(1).run(&eval);
-        for threads in [1, 2, 4, 8] {
-            let dual = QueryBatch::new(&queries, query)
-                .threads(threads)
-                .run_dual(&eval);
-            assert_eq!(dual.decisions(), single.decisions(), "x{threads}");
-            assert_eq!(dual.estimates(), single.estimates(), "x{threads}");
-            assert!(dual.dual_pairs() > 0);
-            assert!(dual.dual_wholesale() > 0, "no wholesale decision fired");
-        }
-        assert_eq!(single.dual_pairs(), 0);
-        assert_eq!(single.dual_wholesale(), 0);
-    }
-
-    #[test]
-    fn dual_ekaq_and_within_are_bitwise_identical() {
-        let ps = clustered_points(300, 3, 43);
-        let w = mixed_weights(300, 44);
-        let eval = Evaluator::<Ball>::build(&ps, &w, Kernel::gaussian(0.7), BoundMethod::Karl, 8);
-        let queries = clustered_points(50, 3, 45);
-        for query in [Query::Ekaq { eps: 0.1 }, Query::Within { tol: 0.05 }] {
-            let single = QueryBatch::new(&queries, query).threads(2).run(&eval);
-            let dual = QueryBatch::new(&queries, query).threads(2).run_dual(&eval);
-            assert_eq!(dual.outcomes(), single.outcomes(), "{query:?}");
-            assert_eq!(dual.dual_wholesale(), 0, "non-TKAQ must not go wholesale");
-        }
-    }
-
-    #[test]
-    fn dual_wholesale_outcomes_cost_zero_iterations() {
-        let ps = clustered_points(400, 2, 46);
-        let w = vec![1.0; 400];
-        let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.5), BoundMethod::Karl, 8);
-        let queries = clustered_points(60, 2, 47);
-        let dual = QueryBatch::new(&queries, Query::Tkaq { tau: 0.01 })
-            .threads(1)
-            .run_dual(&eval);
-        assert!(dual.dual_wholesale() > 0);
-        let zero_iter = dual
-            .outcomes()
-            .iter()
-            .filter(|o| o.iterations == 0)
-            .count() as u64;
-        assert!(zero_iter >= dual.dual_wholesale());
-    }
-
-    #[test]
-    fn dual_skips_non_finite_queries_gracefully() {
-        let ps = clustered_points(100, 2, 48);
-        let eval = Evaluator::<Rect>::build(
-            &ps,
-            &[1.0; 100],
-            Kernel::gaussian(0.5),
-            BoundMethod::Karl,
-            8,
-        );
-        let base = clustered_points(10, 2, 49);
-        let mut data: Vec<f64> = (0..10).flat_map(|i| base.point(i).to_vec()).collect();
-        data.extend_from_slice(&[f64::NAN, 1.0]);
-        let queries = PointSet::new(2, data);
-        let query = Query::Tkaq { tau: 0.1 };
-        // A NaN query dies in its own slot either way; the healthy slots
-        // must carry identical answers and the descent must never build
-        // a bounding volume over the poisoned coordinate.
-        let single = QueryBatch::new(&queries, query)
-            .threads(1)
-            .try_run(&eval)
-            .unwrap();
-        let dual = QueryBatch::new(&queries, query)
-            .threads(1)
-            .try_run_dual(&eval)
-            .unwrap();
-        assert_eq!(dual.dual_pairs(), 0, "descent must not touch NaN MBRs");
-        assert_eq!(dual.failed_indices(), single.failed_indices());
-        assert_eq!(dual.failed_indices(), vec![10]);
-        for (d, s) in dual.results().iter().zip(single.results()).take(10) {
-            assert_eq!(
-                dual.answer(d.as_ref().unwrap()),
-                single.answer(s.as_ref().unwrap())
-            );
-        }
-    }
-
-    #[test]
-    fn try_run_dual_matches_try_run_answers() {
-        let ps = clustered_points(300, 3, 50);
-        let w = mixed_weights(300, 51);
-        let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.6), BoundMethod::Karl, 8);
-        let queries = clustered_points(40, 3, 52);
-        let query = Query::Tkaq { tau: 0.05 };
-        let plain = QueryBatch::new(&queries, query)
-            .threads(2)
-            .try_run(&eval)
-            .unwrap();
-        let dual = QueryBatch::new(&queries, query)
-            .threads(2)
-            .try_run_dual(&eval)
-            .unwrap();
-        assert_eq!(dual.len(), plain.len());
-        for (d, p) in dual.results().iter().zip(plain.results()) {
-            let (d, p) = (d.as_ref().unwrap(), p.as_ref().unwrap());
-            assert_eq!(dual.answer(d), plain.answer(p));
-        }
     }
 
     #[test]

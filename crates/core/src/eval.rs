@@ -28,7 +28,6 @@ use crate::bounds::{
     QueryContext,
 };
 use crate::coreset::Coreset;
-use crate::envelope::EnvelopeCache;
 use crate::error::{self, KarlError};
 use crate::kernel::Kernel;
 
@@ -361,26 +360,16 @@ impl Ord for Entry {
 
 /// Run counters accumulated per [`Scratch`] (behind the `stats` feature):
 /// how much refinement and envelope work the queries routed through that
-/// scratch performed, and how much of it the envelope cache absorbed.
+/// scratch performed.
 #[cfg(feature = "stats")]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Heap pops (refinement iterations) across all runs.
     pub nodes_refined: u64,
-    /// Envelopes actually constructed (cache hits skip construction).
+    /// Envelopes constructed.
     pub envelopes_built: u64,
-    /// Envelope-cache lookups answered from the table.
-    pub cache_hits: u64,
-    /// Envelope-cache lookups that fell through to construction.
-    pub cache_misses: u64,
     /// `Curve::value` evaluations — the transcendental workhorse count.
     pub curve_value_calls: u64,
-    /// Query-node × data-node pair intervals scored by the dual-tree
-    /// descent (zero outside `run_dual`).
-    pub dual_pairs_scored: u64,
-    /// Queries decided wholesale by a joint query-node interval, without
-    /// any per-query refinement (zero outside `run_dual`).
-    pub dual_wholesale_decided: u64,
     /// Queries the coreset front tier decided outright (zero when the
     /// cascade is off).
     pub coreset_decided: u64,
@@ -400,11 +389,7 @@ impl RunStats {
     pub fn merge(&mut self, other: &RunStats) {
         self.nodes_refined += other.nodes_refined;
         self.envelopes_built += other.envelopes_built;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.curve_value_calls += other.curve_value_calls;
-        self.dual_pairs_scored += other.dual_pairs_scored;
-        self.dual_wholesale_decided += other.dual_wholesale_decided;
         self.coreset_decided += other.coreset_decided;
         self.coreset_fallthrough += other.coreset_fallthrough;
         if self.simd_backend.is_empty() {
@@ -416,14 +401,13 @@ impl RunStats {
 /// Reusable per-query workspace for [`Evaluator::run_with_scratch`]: the
 /// priority-queue storage (which doubles as the entry pool — `BinaryHeap`
 /// keeps its backing buffer across [`clear`](BinaryHeap::clear)), the
-/// trace buffer, the frontier/interval buffers of the two-pass bound
-/// kernel, and the envelope memoization table. After the first few queries
-/// have grown the buffers to the workload's high-water mark, evaluation
-/// performs no heap allocation.
+/// trace buffer and the frontier/interval buffers of the two-pass bound
+/// kernel. After the first few queries have grown the buffers to the
+/// workload's high-water mark, evaluation performs no heap allocation.
 ///
 /// One `Scratch` per worker thread is the intended usage; see
 /// [`crate::batch`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Scratch {
     heap: BinaryHeap<Entry>,
     trace: Vec<TraceStep>,
@@ -431,39 +415,12 @@ pub struct Scratch {
     frontier: Vec<NodeId>,
     /// Interval records pass 1 emits and pass 2 consumes.
     intervals: Vec<NodeInterval>,
-    /// Exact envelope memoization, warm across every query routed through
-    /// this scratch (entries are pure functions of their keys, so
-    /// cross-query reuse is always bitwise-safe).
-    env_cache: EnvelopeCache,
-    env_cache_enabled: bool,
     #[cfg(feature = "stats")]
     stats: RunStats,
 }
 
-impl Default for Scratch {
-    fn default() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            trace: Vec::new(),
-            frontier: Vec::new(),
-            intervals: Vec::new(),
-            env_cache: EnvelopeCache::new(),
-            // The cache changes no bits, only cost — but on streams of
-            // distinct queries every probe misses and the tax exceeds a
-            // shared-endpoint Gaussian build, so it is opt-in (it pays on
-            // duplicate-heavy query streams; see DESIGN.md §10).
-            env_cache_enabled: false,
-            #[cfg(feature = "stats")]
-            stats: RunStats::default(),
-        }
-    }
-}
-
 impl Scratch {
-    /// Creates an empty workspace (buffers grow on first use) with the
-    /// envelope cache disabled (enable it with
-    /// [`set_envelope_cache`](Self::set_envelope_cache) for duplicate-heavy
-    /// query streams).
+    /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
@@ -474,24 +431,10 @@ impl Scratch {
         &self.trace
     }
 
-    /// Enables or disables the envelope memoization for subsequent runs.
-    /// Purely a performance switch: outcomes and traces are bitwise
-    /// identical either way (`tests/envelope_cache_equivalence.rs`).
-    pub fn set_envelope_cache(&mut self, enabled: bool) {
-        self.env_cache_enabled = enabled;
-    }
-
-    /// Whether the envelope memoization is enabled.
-    pub fn envelope_cache_enabled(&self) -> bool {
-        self.env_cache_enabled
-    }
-
     /// Clears every buffer and shrinks any that grew beyond `cap` elements
-    /// (`cap` slots for the envelope cache) back down to it. Long batch
-    /// runs call this between chunks so one adversarial query cannot
-    /// ratchet a worker's memory for the rest of the batch; buffers at or
-    /// under the cap keep their allocations (and the envelope cache keeps
-    /// its entries — dropping them is never needed for correctness).
+    /// back down to it. Long batch runs call this between chunks so one
+    /// adversarial query cannot ratchet a worker's memory for the rest of
+    /// the batch; buffers at or under the cap keep their allocations.
     pub fn reset_with_capacity_cap(&mut self, cap: usize) {
         self.heap.clear();
         self.heap.shrink_to(cap);
@@ -501,16 +444,12 @@ impl Scratch {
         self.frontier.shrink_to(cap);
         self.intervals.clear();
         self.intervals.shrink_to(cap);
-        self.env_cache.shrink_to_cap(cap);
     }
 
-    /// The accumulated run counters, with the envelope cache's live
-    /// hit/miss totals folded in (behind the `stats` feature).
+    /// The accumulated run counters (behind the `stats` feature).
     #[cfg(feature = "stats")]
     pub fn stats(&self) -> RunStats {
         let mut s = self.stats;
-        s.cache_hits = self.env_cache.hits();
-        s.cache_misses = self.env_cache.misses();
         s.simd_backend = karl_geom::backend_name();
         s
     }
@@ -1295,8 +1234,7 @@ impl<S: NodeShape> Evaluator<S> {
             return None;
         }
         // Unbudgeted: the tier's cost is bounded by the coreset size, and
-        // the caller's budget governs the expensive fall-through run only
-        // (mirroring the dual-tree wholesale semantics).
+        // the caller's budget governs the expensive fall-through run only.
         let (out, _) = tier.eval.run_core_on(
             engine,
             q,
@@ -1360,8 +1298,7 @@ impl<S: NodeShape> Evaluator<S> {
     /// [`run_budgeted_with_scratch_on`](Self::run_budgeted_with_scratch_on).
     /// The budget applies to the fall-through full-tree run only: tier-1
     /// work is bounded by the coreset size, so a tier-decided query is
-    /// always `Outcome::Complete` even under a starving budget (exactly the
-    /// dual-tree wholesale contract).
+    /// always `Outcome::Complete` even under a starving budget.
     #[allow(clippy::too_many_arguments)] // mirrors run_budgeted_with_scratch_on
     pub fn run_cascade_budgeted_with_scratch_on(
         &self,
@@ -1420,8 +1357,8 @@ impl<S: NodeShape> Evaluator<S> {
     }
 
     /// [`trace_run_on`](Self::trace_run_on) with caller-owned scratch: the
-    /// trajectory lands in [`Scratch::trace`], so a warm scratch (and its
-    /// envelope cache) can be threaded through a sequence of traced runs.
+    /// trajectory lands in [`Scratch::trace`], so a warm scratch can be
+    /// threaded through a sequence of traced runs.
     pub fn trace_run_with_scratch_on(
         &self,
         engine: Engine,
@@ -1476,7 +1413,7 @@ impl<S: NodeShape> Evaluator<S> {
     /// Each heap pop gathers its children into the frontier buffer, pass 1
     /// streams the batched fused geometry kernels over them emitting
     /// [`NodeInterval`] records, and pass 2 sweeps those records building
-    /// envelopes through the scratch's memoization table.
+    /// envelopes.
     ///
     /// Frontier order is left child then right child — exactly the push
     /// order of the old one-node-at-a-time loop — and pass 2 accumulates
@@ -1498,13 +1435,11 @@ impl<S: NodeShape> Evaluator<S> {
         let ctx = QueryContext::new(&self.kernel, self.method, q);
         let method = self.method;
         let curve = self.kernel.curve();
-        let use_cache = scratch.env_cache_enabled;
         let Scratch {
             heap,
             trace,
             frontier,
             intervals,
-            env_cache,
             ..
         } = scratch;
         heap.clear();
@@ -1522,7 +1457,7 @@ impl<S: NodeShape> Evaluator<S> {
                                   negated: bool| {
             node_intervals_frozen(&ctx, frozen, ids, intervals);
             for iv in intervals.iter() {
-                let b = assemble_interval(method, curve, iv, env_cache, use_cache);
+                let b = assemble_interval(method, curve, iv);
                 let (elb, eub) = contribution(&b, negated);
                 *lb += elb;
                 *ub += eub;
@@ -2061,41 +1996,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_cache_toggle_is_bit_identical() {
-        // Cache-on and cache-off scratches must produce identical outcomes
-        // and identical traces on the same query stream (with duplicates,
-        // so the cache actually gets hits).
-        let ps = clustered_points(300, 3, 45);
-        let w = mixed_weights(300, 46);
-        let kernel = Kernel::gaussian(0.6);
-        let eval = Evaluator::<Rect>::build(&ps, &w, kernel, BoundMethod::Karl, 8);
-        let mut on = Scratch::new();
-        let mut off = Scratch::new();
-        on.set_envelope_cache(true);
-        assert!(on.envelope_cache_enabled());
-        assert!(!off.envelope_cache_enabled(), "cache is opt-in");
-        let queries = clustered_points(10, 3, 47);
-        for pass in 0..2 {
-            for q in queries.iter() {
-                for query in [
-                    Query::Tkaq { tau: 0.2 },
-                    Query::Ekaq { eps: 0.1 },
-                    Query::Within { tol: 0.05 },
-                ] {
-                    let a = eval.run_with_scratch(q, query, None, &mut on);
-                    let b = eval.run_with_scratch(q, query, None, &mut off);
-                    assert_eq!(a, b, "pass {pass} {query:?}");
-                    let ta = eval.trace_run_with_scratch_on(Engine::Frozen, q, query, &mut on);
-                    let trace_a: Vec<TraceStep> = on.trace().to_vec();
-                    let tb = eval.trace_run_with_scratch_on(Engine::Frozen, q, query, &mut off);
-                    assert_eq!(ta, tb, "pass {pass} {query:?} traced");
-                    assert_eq!(trace_a.as_slice(), off.trace(), "pass {pass} {query:?} trace");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn reset_with_capacity_cap_shrinks_oversized_buffers() {
         // Grow a scratch well past a small cap on a real workload, then
         // check the shrink policy: every buffer lands at or below the cap,
@@ -2117,7 +2017,6 @@ mod tests {
         assert!(scratch.trace.capacity() <= cap);
         assert!(scratch.frontier.capacity() <= cap);
         assert!(scratch.intervals.capacity() <= cap);
-        assert!(scratch.env_cache.capacity() <= cap);
         assert!(scratch.heap.is_empty() && scratch.trace.is_empty());
 
         // Within-cap buffers are left alone by a larger cap.
@@ -2128,53 +2027,6 @@ mod tests {
         // And the scratch still evaluates identically after shrinking.
         let again = eval.run_with_scratch(&q, Query::Within { tol: 1e-9 }, None, &mut scratch);
         assert_eq!(want, again);
-    }
-
-    /// The `stats`-gated proof that the envelope cache actually removes
-    /// transcendental work: a canned clustered workload with repeated
-    /// queries must cost strictly fewer `Curve::value` calls with the
-    /// cache on than off, with the difference visible as cache hits.
-    #[cfg(feature = "stats")]
-    #[test]
-    fn stats_cache_reduces_curve_value_calls_on_clustered_workload() {
-        let ps = clustered_points(400, 3, 49);
-        let w = vec![1.0 / 400.0; 400];
-        let kernel = Kernel::gaussian(0.5);
-        let eval = Evaluator::<Rect>::build(&ps, &w, kernel, BoundMethod::Karl, 8);
-        // 6 distinct clustered queries, each issued 4 times — the canned
-        // duplicate-heavy stream the memoization targets.
-        let base = clustered_points(6, 3, 50);
-        let queries: Vec<Vec<f64>> = (0..24).map(|i| base.point(i % 6).to_vec()).collect();
-
-        let mut on = Scratch::new();
-        let mut off = Scratch::new();
-        on.set_envelope_cache(true);
-        for q in &queries {
-            eval.run_with_scratch(q, Query::Ekaq { eps: 0.1 }, None, &mut on);
-            eval.run_with_scratch(q, Query::Ekaq { eps: 0.1 }, None, &mut off);
-        }
-        let stats_on = on.stats();
-        let stats_off = off.stats();
-
-        assert_eq!(stats_on.nodes_refined, stats_off.nodes_refined);
-        assert!(stats_on.cache_hits > 0, "duplicate queries must hit");
-        assert_eq!(stats_off.cache_hits, 0);
-        assert_eq!(stats_off.cache_misses, 0);
-        assert!(
-            stats_on.curve_value_calls < stats_off.curve_value_calls,
-            "cache on: {} value calls, off: {}",
-            stats_on.curve_value_calls,
-            stats_off.curve_value_calls
-        );
-        assert!(
-            stats_on.envelopes_built < stats_off.envelopes_built,
-            "hits must skip envelope construction"
-        );
-        assert_eq!(
-            stats_on.envelopes_built,
-            stats_on.cache_misses,
-            "with the cache on, every construction is a miss"
-        );
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! Test-only fault injection for the batch engine (feature `fault-inject`).
 //!
-//! The containment tests need a way to make a *specific query index* fail —
+//! The containment tests need a way to make a *specific query slot* fail —
 //! by panicking inside the refinement loop or by corrupting the query point
-//! to NaN — while every other query in the batch stays healthy. This module
-//! keeps a process-global plan of `(query index, fault)` pairs that
-//! [`crate::batch::QueryBatch::try_run`] consults right before evaluating
-//! each query.
-//!
-//! The plan is guarded by an [`InjectionGuard`] holding a global lock, so
-//! concurrently running `#[test]`s cannot interleave their plans; dropping
-//! the guard clears the plan even when the test itself panics.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! to NaN — while every other query in the batch stays healthy. A plan is a
+//! plain list of `(slot, fault)` pairs handed to one batch through
+//! [`QueryBatch::faults`](crate::batch::QueryBatch::faults), or to one
+//! server through `ServeConfig::faults`; no state is shared between
+//! batches, so tests that inject faults run safely in parallel.
 
 /// What to do to a planned query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,69 +16,4 @@ pub enum Fault {
     /// Replace the query point with an all-NaN vector so the validated
     /// entry path rejects it with `KarlError::NonFiniteQuery`.
     Nan,
-}
-
-static PLAN: Mutex<Vec<(usize, Fault)>> = Mutex::new(Vec::new());
-static GATE: Mutex<()> = Mutex::new(());
-static BASE: AtomicUsize = AtomicUsize::new(0);
-
-fn plan() -> MutexGuard<'static, Vec<(usize, Fault)>> {
-    // Injected panics unwind through the batch worker while it may hold
-    // this lock-free path; the plan lock itself is only poisoned if a test
-    // dies between install and clear — recover the data either way.
-    PLAN.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Serializes fault-injection tests and clears the plan on drop.
-pub struct InjectionGuard {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for InjectionGuard {
-    fn drop(&mut self) {
-        plan().clear();
-        BASE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Installs a fault plan, returning a guard that holds the global
-/// injection lock until dropped. Tests must keep the guard alive for the
-/// duration of the batch run they want sabotaged.
-pub fn inject(faults: &[(usize, Fault)]) -> InjectionGuard {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut p = plan();
-    p.clear();
-    p.extend_from_slice(faults);
-    BASE.store(0, Ordering::SeqCst);
-    InjectionGuard { _gate: gate }
-}
-
-/// Removes every planned fault (also done automatically on guard drop).
-pub fn clear_plan() {
-    plan().clear();
-    BASE.store(0, Ordering::SeqCst);
-}
-
-/// Offsets subsequent plan lookups: the batch engine consults the plan at
-/// `base + slot` for slot `i` of its query set. A standalone
-/// [`crate::batch::QueryBatch`] run leaves the base at 0, so plan indices
-/// are batch slots; the serve loop sets the base to its dispatch counter
-/// before each micro-batch group, so plan indices address *dispatch
-/// ordinals* — "poison the k-th request handed to the engine" — across
-/// any number of micro-batches. Reset to 0 by [`inject`], [`clear_plan`]
-/// and guard drop.
-pub fn set_base(base: usize) {
-    BASE.store(base, Ordering::SeqCst);
-}
-
-/// The current lookup offset (see [`set_base`]).
-pub fn base() -> usize {
-    BASE.load(Ordering::SeqCst)
-}
-
-/// The fault planned for lookup index `base() + slot`, if any. Consulted
-/// by the batch engine once per query slot.
-pub(crate) fn planned(slot: usize) -> Option<Fault> {
-    let index = BASE.load(Ordering::SeqCst) + slot;
-    plan().iter().find(|(i, _)| *i == index).map(|(_, f)| *f)
 }

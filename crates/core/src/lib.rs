@@ -68,14 +68,12 @@ pub mod tuning;
 pub use batch::{resolve_threads, BatchOutcome, BatchReport, QueryBatch};
 pub use error::KarlError;
 pub use bounds::{
-    assemble_interval, assemble_pair, node_bounds, node_bounds_frozen, node_interval_frozen,
-    node_intervals_frozen, pair_bounds_frozen, pair_interval_frozen, pair_intervals_frozen,
-    BoundMethod, BoundPair, DualQueryContext, NodeInterval, PairInterval, QueryContext,
-    QueryRegion,
+    assemble_interval, node_bounds, node_bounds_frozen, node_interval_frozen,
+    node_intervals_frozen, BoundMethod, BoundPair, NodeInterval, QueryContext,
 };
 pub use coreset::{lipschitz, Coreset};
 pub use curve::{Curvature, Curve};
-pub use envelope::{envelope, envelope_parts, Envelope, EnvelopeCache, EnvelopeParts, Line};
+pub use envelope::{envelope, envelope_parts, Envelope, EnvelopeParts, Line};
 #[cfg(feature = "stats")]
 pub use eval::RunStats;
 pub use eval::{
@@ -83,7 +81,7 @@ pub use eval::{
     Scratch, TierPath, TkaqDecision, TraceStep, TruncateReason,
 };
 #[cfg(feature = "fault-inject")]
-pub use fault::{base, clear_plan, inject, set_base, Fault, InjectionGuard};
+pub use fault::Fault;
 pub use index::{IndexMeta, META_LEN};
 pub use kernel::{aggregate_exact, Kernel};
 pub use scan::{LibSvmScan, Scan};

@@ -458,17 +458,12 @@ fn push_stats_object(out: &mut String, s: &StatsSnapshot, run: Option<RunRef<'_>
     if let Some(r) = run {
         let _ = write!(
             out,
-            ",\"run\":{{\"nodes_refined\":{},\"envelopes_built\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"curve_value_calls\":{},\"dual_pairs_scored\":{},\
-             \"dual_wholesale_decided\":{},\"coreset_decided\":{},\
+            ",\"run\":{{\"nodes_refined\":{},\"envelopes_built\":{},\
+             \"curve_value_calls\":{},\"coreset_decided\":{},\
              \"coreset_fallthrough\":{},\"simd_backend\":",
             r.nodes_refined,
             r.envelopes_built,
-            r.cache_hits,
-            r.cache_misses,
             r.curve_value_calls,
-            r.dual_pairs_scored,
-            r.dual_wholesale_decided,
             r.coreset_decided,
             r.coreset_fallthrough
         );
@@ -632,6 +627,12 @@ pub struct ServeConfig {
     /// Emit a `# serve …` summary line to the log sink every N admitted
     /// requests (0: only the final summary).
     pub summary_every: u64,
+    /// Injected faults (test-only, feature `fault-inject`), addressed by
+    /// **dispatch ordinal**: `(k, fault)` hits the k-th request this
+    /// server hands to the engine (0-based, counted across micro-batches
+    /// and [`Server::run`] calls).
+    #[cfg(feature = "fault-inject")]
+    pub faults: Vec<(usize, crate::fault::Fault)>,
 }
 
 impl Default for ServeConfig {
@@ -643,6 +644,8 @@ impl Default for ServeConfig {
             threads: None,
             budget: Budget::UNLIMITED,
             summary_every: 0,
+            #[cfg(feature = "fault-inject")]
+            faults: Vec::new(),
         }
     }
 }
@@ -687,8 +690,8 @@ pub struct Server<'a> {
     cfg: ServeConfig,
     pending: Vec<Pending>,
     /// Requests handed to the engine so far, in dispatch order; under
-    /// `fault-inject` this is the base for plan lookups, so plan indices
-    /// address dispatch ordinals across micro-batches.
+    /// `fault-inject` this maps the configured plan's dispatch ordinals
+    /// onto each micro-batch's slots.
     dispatched: u64,
     stats: ServeStats,
     shutdown: bool,
@@ -920,7 +923,18 @@ impl<'a> Server<'a> {
                 spec = spec.threads(t);
             }
             #[cfg(feature = "fault-inject")]
-            crate::fault::set_base(self.dispatched as usize);
+            {
+                let base = self.dispatched as usize;
+                let slots = base..base + members.len();
+                let plan: Vec<_> = self
+                    .cfg
+                    .faults
+                    .iter()
+                    .filter(|(ord, _)| slots.contains(ord))
+                    .map(|&(ord, f)| (ord - base, f))
+                    .collect();
+                spec = spec.faults(&plan);
+            }
             match spec.try_run_any(self.eval) {
                 Ok(report) => {
                     #[cfg(feature = "stats")]
@@ -943,8 +957,6 @@ impl<'a> Server<'a> {
             }
             self.dispatched += members.len() as u64;
         }
-        #[cfg(feature = "fault-inject")]
-        crate::fault::set_base(0);
         for (i, resp) in responses.iter().enumerate() {
             self.stats.latency.record(pend[i].admitted_at.elapsed());
             out.write_all(resp.as_bytes())?;

@@ -188,348 +188,6 @@ pub fn ball_ip_nodes<const AGG: bool, F: FnMut(f64, f64)>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dual-tree node-vs-node pair kernels
-// ---------------------------------------------------------------------------
-//
-// The dual-tree batch engine bounds a whole query node Q against a data
-// node R in one probe. The kernels below compute, in a single pass over
-// the `d` coordinates, the min/max of the kernel's scalar argument over
-// every (q, p) ∈ Q × R *and* the terms needed to bound the aggregate
-// `X_R(q)` over every q ∈ Q. The query side is fixed for an entire data
-// frontier, so its per-coordinate constants (corner squares, center
-// norms) are hoisted into a `*QueryNode` struct built once per query node
-// — the hoisted products are the same `f64` operations a per-pair
-// evaluation would form, so hoisting is bitwise neutral (pinned by the
-// `hoisted_query_terms_*` tests below).
-
-/// Hoisted query-side constants for the rectangle pair kernels: the query
-/// node's MBR corners plus their precomputed coordinate squares, built
-/// once per query node and reused across the whole data frontier.
-#[derive(Debug, Clone)]
-pub struct RectQueryNode<'a> {
-    lo: &'a [f64],
-    hi: &'a [f64],
-    lo2: Vec<f64>,
-    hi2: Vec<f64>,
-}
-
-impl<'a> RectQueryNode<'a> {
-    /// Hoists the query-constant terms of the MBR `[lo, hi]`.
-    pub fn new(lo: &'a [f64], hi: &'a [f64]) -> Self {
-        assert_eq!(lo.len(), hi.len(), "query MBR corner lengths differ");
-        RectQueryNode {
-            lo,
-            hi,
-            lo2: lo.iter().map(|&v| v * v).collect(),
-            hi2: hi.iter().map(|&v| v * v).collect(),
-        }
-    }
-
-    /// Lower corner of the query MBR.
-    #[inline]
-    pub fn lo(&self) -> &[f64] {
-        self.lo
-    }
-
-    /// Upper corner of the query MBR.
-    #[inline]
-    pub fn hi(&self) -> &[f64] {
-        self.hi
-    }
-
-    /// Dimensionality of the query MBR.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Hoisted squares of the lower corner (for the pair quadratics).
-    #[inline]
-    pub(crate) fn lo2(&self) -> &[f64] {
-        &self.lo2
-    }
-
-    /// Hoisted squares of the upper corner (for the pair quadratics).
-    #[inline]
-    pub(crate) fn hi2(&self) -> &[f64] {
-        &self.hi2
-    }
-}
-
-/// Hoisted query-side constants for the ball pair kernels: center, radius
-/// and the center norms `‖c_Q‖²` / `‖c_Q‖` computed once per query node.
-#[derive(Debug, Clone)]
-pub struct BallQueryNode<'a> {
-    center: &'a [f64],
-    radius: f64,
-    norm2: f64,
-    norm: f64,
-}
-
-impl<'a> BallQueryNode<'a> {
-    /// Hoists the query-constant terms of the ball `(center, radius)`.
-    pub fn new(center: &'a [f64], radius: f64) -> Self {
-        let norm2 = crate::dist::norm2(center);
-        BallQueryNode {
-            center,
-            radius,
-            norm2,
-            norm: norm2.sqrt(),
-        }
-    }
-
-    /// Center of the query ball.
-    #[inline]
-    pub fn center(&self) -> &[f64] {
-        self.center
-    }
-
-    /// Radius of the query ball.
-    #[inline]
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// `‖c_Q‖²`, hoisted at construction.
-    #[inline]
-    pub fn norm2(&self) -> f64 {
-        self.norm2
-    }
-
-    /// `‖c_Q‖`, hoisted at construction.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.norm
-    }
-
-    /// Dimensionality of the query ball.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.center.len()
-    }
-}
-
-/// Per-coordinate term of the pair `mindist²`: squared gap between the
-/// intervals `[ql, qh]` and `[l, h]` (zero when they overlap).
-#[inline(always)]
-pub(crate) fn pair_min_term(ql: f64, qh: f64, l: f64, h: f64) -> f64 {
-    let diff = (l - qh).max(ql - h).max(0.0);
-    diff * diff
-}
-
-/// Per-coordinate term of the pair `maxdist²`: largest squared distance
-/// between a point of `[ql, qh]` and a point of `[l, h]`.
-#[inline(always)]
-pub(crate) fn pair_max_term(ql: f64, qh: f64, l: f64, h: f64) -> f64 {
-    let diff = (h - ql).max(qh - l);
-    diff * diff
-}
-
-/// Per-coordinate minimum over `t ∈ [ql, qh]` of the aggregate quadratic
-/// `g(t) = w·t² − 2·a·t` (`w > 0`): the vertex value `−a²/w` when the
-/// vertex `a/w` lies strictly inside the interval, else the smaller
-/// endpoint value. `ql2`/`qh2` are the hoisted endpoint squares.
-#[inline(always)]
-pub(crate) fn quad_min_term(ql: f64, qh: f64, ql2: f64, qh2: f64, a: f64, w: f64) -> f64 {
-    let gl = w * ql2 - 2.0 * a * ql;
-    let gh = w * qh2 - 2.0 * a * qh;
-    let m = gl.min(gh);
-    let v = a / w;
-    if v > ql && v < qh {
-        m.min(-(a * a) / w)
-    } else {
-        m
-    }
-}
-
-/// Per-coordinate maximum of the same quadratic: `w > 0` makes it convex,
-/// so the maximum sits at one of the endpoints.
-#[inline(always)]
-pub(crate) fn quad_max_term(ql: f64, qh: f64, ql2: f64, qh2: f64, a: f64, w: f64) -> f64 {
-    (w * ql2 - 2.0 * a * ql).max(w * qh2 - 2.0 * a * qh)
-}
-
-/// Per-coordinate minimum over `t ∈ [ql, qh]`, `s ∈ [l, h]` of `t·s`: the
-/// bilinear form is extremal at a corner of the box.
-#[inline(always)]
-pub(crate) fn pair_ip_min_term(ql: f64, qh: f64, l: f64, h: f64) -> f64 {
-    (ql * l).min(ql * h).min((qh * l).min(qh * h))
-}
-
-/// Per-coordinate maximum of the same bilinear form.
-#[inline(always)]
-pub(crate) fn pair_ip_max_term(ql: f64, qh: f64, l: f64, h: f64) -> f64 {
-    (ql * l).max(ql * h).max((qh * l).max(qh * h))
-}
-
-/// Fused rectangle-vs-rectangle pair probe for distance kernels:
-/// `(mindist², maxdist², g_min, g_max)` over the query MBR and the data
-/// node `[lo, hi]` in one pass, where `g(q) = w·‖q‖² − 2·q·a` is the
-/// query-dependent part of the aggregate `X_R(q)` and `g_min`/`g_max`
-/// bound it over every `q` in the query MBR (`w = W_R > 0`). With
-/// `AGG = false` the aggregate accumulators are compiled out (pass
-/// `a = &[]`, any `w`).
-#[inline]
-pub fn rect_rect_dist<const AGG: bool>(
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-    w: f64,
-) -> (f64, f64, f64, f64) {
-    let d = qnode.dims();
-    debug_assert_eq!(lo.len(), d);
-    debug_assert_eq!(hi.len(), d);
-    debug_assert!(!AGG || a.len() == d);
-    crate::simd::rect_rect_dist_with::<AGG>(crate::simd::backend(), qnode, lo, hi, a, w)
-}
-
-/// Fused rectangle-vs-rectangle pair probe for inner-product kernels:
-/// `(ip_min, ip_max, qa_min, qa_max)` in one pass — the extrema of `q·p`
-/// over the query MBR × data node, and of the aggregate inner product
-/// `q·a` over the query MBR. With `AGG = false` the `q·a` accumulators
-/// are compiled out (pass `a = &[]`).
-#[inline]
-pub fn rect_rect_ip<const AGG: bool>(
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let d = qnode.dims();
-    debug_assert_eq!(lo.len(), d);
-    debug_assert_eq!(hi.len(), d);
-    debug_assert!(!AGG || a.len() == d);
-    crate::simd::rect_rect_ip_with::<AGG>(crate::simd::backend(), qnode, lo, hi, a)
-}
-
-/// Fused ball-vs-ball pair probe for distance kernels:
-/// `(dist²(c_Q, c_R), c_Q·a, ‖a‖²)` in one pass. The radius algebra
-/// (adding/subtracting `r_Q + r_R`, forming the aggregate interval from
-/// `‖W·c_Q − a‖`) lives in the bounds layer; this kernel only fuses the
-/// coordinate reductions. With `AGG = false` the aggregate accumulators
-/// are compiled out (pass `a = &[]`).
-#[inline]
-pub fn ball_ball_dist<const AGG: bool>(
-    qnode: &BallQueryNode<'_>,
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64) {
-    let d = qnode.dims();
-    debug_assert_eq!(center.len(), d);
-    debug_assert!(!AGG || a.len() == d);
-    crate::simd::ball_ball_dist_with::<AGG>(crate::simd::backend(), qnode, center, a)
-}
-
-/// Fused ball-vs-ball pair probe for inner-product kernels:
-/// `(c_Q·c_R, ‖c_R‖², c_Q·a, ‖a‖²)` in one pass — everything the bounds
-/// layer needs to pad `q·p` and `q·a` by the Cauchy–Schwarz radius terms.
-/// With `AGG = false` the aggregate accumulators are compiled out (pass
-/// `a = &[]`).
-#[inline]
-pub fn ball_ball_ip<const AGG: bool>(
-    qnode: &BallQueryNode<'_>,
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let d = qnode.dims();
-    debug_assert_eq!(center.len(), d);
-    debug_assert!(!AGG || a.len() == d);
-    crate::simd::ball_ball_ip_with::<AGG>(crate::simd::backend(), qnode, center, a)
-}
-
-/// Batched [`rect_rect_dist`] over a gathered frontier of data node ids:
-/// the query node's hoisted constants are built once by the caller and
-/// reused for every data node — the query-constant terms stay out of the
-/// node loop. `w` is the per-node `W_R` buffer indexed by id. Each
-/// per-node probe is the *same* scalar kernel, so the outputs are bitwise
-/// identical to calling [`rect_rect_dist`] node by node.
-#[inline]
-pub fn rect_rect_dist_nodes<const AGG: bool, F: FnMut(f64, f64, f64, f64)>(
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-    w: &[f64],
-    ids: &[u32],
-    mut emit: F,
-) {
-    let d = qnode.dims();
-    let be = crate::simd::backend();
-    for &id in ids {
-        let s = id as usize * d;
-        let an: &[f64] = if AGG { &a[s..s + d] } else { &[] };
-        let wn = if AGG { w[id as usize] } else { 0.0 };
-        let (mn, mx, gn, gx) =
-            crate::simd::rect_rect_dist_with::<AGG>(be, qnode, &lo[s..s + d], &hi[s..s + d], an, wn);
-        emit(mn, mx, gn, gx);
-    }
-}
-
-/// Batched [`rect_rect_ip`] over a gathered frontier; see
-/// [`rect_rect_dist_nodes`].
-#[inline]
-pub fn rect_rect_ip_nodes<const AGG: bool, F: FnMut(f64, f64, f64, f64)>(
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-    ids: &[u32],
-    mut emit: F,
-) {
-    let d = qnode.dims();
-    let be = crate::simd::backend();
-    for &id in ids {
-        let s = id as usize * d;
-        let an: &[f64] = if AGG { &a[s..s + d] } else { &[] };
-        let (mn, mx, an_v, ax_v) =
-            crate::simd::rect_rect_ip_with::<AGG>(be, qnode, &lo[s..s + d], &hi[s..s + d], an);
-        emit(mn, mx, an_v, ax_v);
-    }
-}
-
-/// Batched [`ball_ball_dist`] over a gathered frontier; see
-/// [`rect_rect_dist_nodes`].
-#[inline]
-pub fn ball_ball_dist_nodes<const AGG: bool, F: FnMut(f64, f64, f64)>(
-    qnode: &BallQueryNode<'_>,
-    centers: &[f64],
-    a: &[f64],
-    ids: &[u32],
-    mut emit: F,
-) {
-    let d = qnode.dims();
-    let be = crate::simd::backend();
-    for &id in ids {
-        let s = id as usize * d;
-        let an: &[f64] = if AGG { &a[s..s + d] } else { &[] };
-        let (d2, qa, aa) = crate::simd::ball_ball_dist_with::<AGG>(be, qnode, &centers[s..s + d], an);
-        emit(d2, qa, aa);
-    }
-}
-
-/// Batched [`ball_ball_ip`] over a gathered frontier; see
-/// [`rect_rect_dist_nodes`].
-#[inline]
-pub fn ball_ball_ip_nodes<const AGG: bool, F: FnMut(f64, f64, f64, f64)>(
-    qnode: &BallQueryNode<'_>,
-    centers: &[f64],
-    a: &[f64],
-    ids: &[u32],
-    mut emit: F,
-) {
-    let d = qnode.dims();
-    let be = crate::simd::backend();
-    for &id in ids {
-        let s = id as usize * d;
-        let an: &[f64] = if AGG { &a[s..s + d] } else { &[] };
-        let (qc, cc, qa, aa) =
-            crate::simd::ball_ball_ip_with::<AGG>(be, qnode, &centers[s..s + d], an);
-        emit(qc, cc, qa, aa);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,199 +312,5 @@ mod tests {
         assert_eq!(rect_ip::<false>(&[], &[], &[], &[]), (0.0, 0.0, 0.0));
         assert_eq!(ball_dist::<true>(&[], &[], &[]), (0.0, 0.0));
         assert_eq!(ball_ip::<false>(&[], &[], &[]), (0.0, 0.0));
-    }
-
-    /// Deterministic query/data boxes exercising every remainder length,
-    /// plus an aggregate vector and weight for the `AGG` outputs.
-    #[allow(clippy::type_complexity)]
-    fn pair_vectors(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64) {
-        let qlo: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin() * 2.0 - 1.0).collect();
-        let qhi: Vec<f64> = qlo.iter().map(|l| l + 1.3).collect();
-        let lo: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).cos() * 2.5 - 0.5).collect();
-        let hi: Vec<f64> = lo.iter().map(|l| l + 1.7).collect();
-        let a: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.37).tan().clamp(-3.0, 3.0))
-            .collect();
-        (qlo, qhi, lo, hi, a, 1.75)
-    }
-
-    /// Deterministic samples at fraction `t` between two corners.
-    fn lerp(lo: &[f64], hi: &[f64], t: f64) -> Vec<f64> {
-        lo.iter().zip(hi).map(|(&l, &h)| l + t * (h - l)).collect()
-    }
-
-    #[test]
-    fn rect_rect_pair_bounds_contain_sampled_point_pairs() {
-        for n in 1..13usize {
-            let (qlo, qhi, lo, hi, a, w) = pair_vectors(n);
-            let qnode = RectQueryNode::new(&qlo, &qhi);
-            let (mn, mx, gn, gx) = rect_rect_dist::<true>(&qnode, &lo, &hi, &a, w);
-            let (ipn, ipx, qan, qax) = rect_rect_ip::<true>(&qnode, &lo, &hi, &a);
-            assert!(mn <= mx && gn <= gx && ipn <= ipx && qan <= qax);
-            for &tq in &[0.0, 0.23, 0.5, 0.77, 1.0] {
-                let q = lerp(&qlo, &qhi, tq);
-                for &tp in &[0.0, 0.41, 1.0] {
-                    let p = lerp(&lo, &hi, tp);
-                    let d2 = dist2(&q, &p);
-                    assert!(mn <= d2 + 1e-12 && d2 <= mx + 1e-12, "dist² n={n}");
-                    let ip = dot(&q, &p);
-                    assert!(ipn <= ip + 1e-12 && ip <= ipx + 1e-12, "q·p n={n}");
-                }
-                let g = w * crate::dist::norm2(&q) - 2.0 * dot(&q, &a);
-                let tol = 1e-12 * (1.0 + g.abs());
-                assert!(gn <= g + tol && g <= gx + tol, "g n={n} tq={tq}");
-                let qa = dot(&q, &a);
-                assert!(qan <= qa + 1e-12 && qa <= qax + 1e-12, "q·a n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_query_rect_matches_single_query_probe() {
-        // A zero-volume query MBR is a single query point: the pair
-        // mindist²/maxdist² collapse to the per-query probe's values.
-        for n in 1..13usize {
-            let (q, lo, hi, _) = vectors(n);
-            let qnode = RectQueryNode::new(&q, &q);
-            let (mn, mx, _, _) = rect_rect_dist::<false>(&qnode, &lo, &hi, &[], 0.0);
-            let (smn, smx, _) = rect_dist::<false>(&q, &lo, &hi, &[]);
-            assert_eq!(mn, smn, "mindist² n={n}");
-            assert_eq!(mx, smx, "maxdist² n={n}");
-            let (ipn, ipx, _, _) = rect_rect_ip::<false>(&qnode, &lo, &hi, &[]);
-            let (sin_, six, _) = rect_ip::<false>(&q, &lo, &hi, &[]);
-            assert_eq!(ipn, sin_, "ip_min n={n}");
-            assert_eq!(ipx, six, "ip_max n={n}");
-        }
-    }
-
-    #[test]
-    fn ball_ball_pair_reductions_match_separate_passes() {
-        for n in 1..13usize {
-            let (q, c, _, a) = vectors(n);
-            let qnode = BallQueryNode::new(&q, 0.4);
-            assert_eq!(qnode.norm2(), crate::dist::norm2(&q));
-            assert_eq!(qnode.norm(), qnode.norm2().sqrt());
-            let (d2, qa, aa) = ball_ball_dist::<true>(&qnode, &c, &a);
-            assert_eq!(d2, dist2(&q, &c), "dist² n={n}");
-            let tol = 1e-12 * (1.0 + qa.abs());
-            assert!((qa - dot(&q, &a)).abs() <= tol, "c_Q·a n={n}");
-            assert!((aa - crate::dist::norm2(&a)).abs() <= 1e-12 * (1.0 + aa), "‖a‖² n={n}");
-            let (qc, cc, qa2, aa2) = ball_ball_ip::<true>(&qnode, &c, &a);
-            assert!((qc - dot(&q, &c)).abs() <= 1e-12 * (1.0 + qc.abs()));
-            assert!((cc - crate::dist::norm2(&c)).abs() <= 1e-12 * (1.0 + cc));
-            assert_eq!(qa2, qa);
-            assert_eq!(aa2, aa);
-            assert_eq!(ball_ball_dist::<false>(&qnode, &c, &[]), (d2, 0.0, 0.0));
-            assert_eq!(ball_ball_ip::<false>(&qnode, &c, &[]), (qc, cc, 0.0, 0.0));
-        }
-    }
-
-    /// Satellite fix pin: the hoisted query-side constants (corner
-    /// squares, center norms) must be **bitwise identical** to recomputing
-    /// the query-constant terms inside the node loop, per data node.
-    #[test]
-    fn hoisted_query_terms_are_bitwise_identical_to_inline_recomputation() {
-        for n in 1..13usize {
-            let (qlo, qhi, lo, hi, a, w) = pair_vectors(n);
-            let qnode = RectQueryNode::new(&qlo, &qhi);
-            let (_, _, gn, gx) = rect_rect_dist::<true>(&qnode, &lo, &hi, &a, w);
-            // Naive reference: recompute the endpoint squares inline, the
-            // way a per-pair evaluation without the hoist would.
-            let (mut gn_ref, mut gx_ref) = ([0.0f64; 4], [0.0f64; 4]);
-            let (mut gn_t, mut gx_t) = (0.0, 0.0);
-            let blocks = n - n % 4;
-            let mut j = 0;
-            while j < blocks {
-                for k in 0..4 {
-                    let (ql, qh) = (qlo[j + k], qhi[j + k]);
-                    gn_ref[k] += quad_min_term(ql, qh, ql * ql, qh * qh, a[j + k], w);
-                    gx_ref[k] += quad_max_term(ql, qh, ql * ql, qh * qh, a[j + k], w);
-                }
-                j += 4;
-            }
-            while j < n {
-                let (ql, qh) = (qlo[j], qhi[j]);
-                gn_t += quad_min_term(ql, qh, ql * ql, qh * qh, a[j], w);
-                gx_t += quad_max_term(ql, qh, ql * ql, qh * qh, a[j], w);
-                j += 1;
-            }
-            let gn_naive = (gn_ref[0] + gn_ref[1]) + (gn_ref[2] + gn_ref[3]) + gn_t;
-            let gx_naive = (gx_ref[0] + gx_ref[1]) + (gx_ref[2] + gx_ref[3]) + gx_t;
-            assert_eq!(gn.to_bits(), gn_naive.to_bits(), "g_min n={n}");
-            assert_eq!(gx.to_bits(), gx_naive.to_bits(), "g_max n={n}");
-            // Ball side: the hoisted ‖c_Q‖² is the shared norm2 reduction.
-            let qnode = BallQueryNode::new(&qlo, 0.3);
-            assert_eq!(qnode.norm2().to_bits(), crate::dist::norm2(&qlo).to_bits());
-        }
-    }
-
-    #[test]
-    fn batched_pair_kernels_bitwise_match_per_node_calls() {
-        let d = 6usize;
-        let nodes = 4usize;
-        let (qlo, qhi, _, _, _, _) = pair_vectors(d);
-        let qrect = RectQueryNode::new(&qlo, &qhi);
-        let qball = BallQueryNode::new(&qlo, 0.5);
-        let mut lo = Vec::with_capacity(nodes * d);
-        let mut hi = Vec::with_capacity(nodes * d);
-        let mut a = Vec::with_capacity(nodes * d);
-        for i in 0..nodes * d {
-            let t = i as f64 * 0.53;
-            lo.push(t.sin() * 2.0 - 1.0);
-            hi.push(t.sin() * 2.0 - 1.0 + (t.cos().abs() + 0.2));
-            a.push((t * 1.3).cos() * 2.0);
-        }
-        let w: Vec<f64> = (0..nodes).map(|i| 0.5 + i as f64 * 0.7).collect();
-        let ids: [u32; 6] = [2, 0, 3, 1, 1, 0];
-
-        let mut got = Vec::new();
-        rect_rect_dist_nodes::<true, _>(&qrect, &lo, &hi, &a, &w, &ids, |mn, mx, gn, gx| {
-            got.push((mn, mx, gn, gx))
-        });
-        for (k, &id) in ids.iter().enumerate() {
-            let s = id as usize * d;
-            let want = rect_rect_dist::<true>(
-                &qrect,
-                &lo[s..s + d],
-                &hi[s..s + d],
-                &a[s..s + d],
-                w[id as usize],
-            );
-            assert_eq!(got[k], want, "rect_rect_dist_nodes id {id}");
-        }
-
-        let mut got = Vec::new();
-        rect_rect_ip_nodes::<true, _>(&qrect, &lo, &hi, &a, &ids, |mn, mx, an, ax| {
-            got.push((mn, mx, an, ax))
-        });
-        for (k, &id) in ids.iter().enumerate() {
-            let s = id as usize * d;
-            let want = rect_rect_ip::<true>(&qrect, &lo[s..s + d], &hi[s..s + d], &a[s..s + d]);
-            assert_eq!(got[k], want, "rect_rect_ip_nodes id {id}");
-        }
-
-        let mut got = Vec::new();
-        ball_ball_dist_nodes::<true, _>(&qball, &lo, &a, &ids, |d2, qa, aa| {
-            got.push((d2, qa, aa))
-        });
-        for (k, &id) in ids.iter().enumerate() {
-            let s = id as usize * d;
-            let want = ball_ball_dist::<true>(&qball, &lo[s..s + d], &a[s..s + d]);
-            assert_eq!(got[k], want, "ball_ball_dist_nodes id {id}");
-        }
-
-        let mut got = Vec::new();
-        ball_ball_ip_nodes::<false, _>(&qball, &lo, &[], &ids, |qc, cc, qa, aa| {
-            got.push((qc, cc, qa, aa))
-        });
-        for (k, &id) in ids.iter().enumerate() {
-            let s = id as usize * d;
-            let want = ball_ball_ip::<false>(&qball, &lo[s..s + d], &[]);
-            assert_eq!(got[k], want, "ball_ball_ip_nodes id {id}");
-        }
-
-        rect_rect_dist_nodes::<true, _>(&qrect, &lo, &hi, &a, &w, &[], |_, _, _, _| {
-            panic!("emit on empty frontier")
-        });
     }
 }

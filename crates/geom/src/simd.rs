@@ -2,9 +2,9 @@
 //! contract.
 //!
 //! Every hot reduction in the workspace — `dist²`/`dot`/`norm²`, the fused
-//! per-node probes, the dual-tree pair kernels, the build-time weighted
-//! sums and corner min/max sweeps, and the leaf-sum kernel with its lane
-//! `exp` — runs through this module. Each kernel has exactly **one**
+//! per-node probes, the build-time weighted sums and corner min/max
+//! sweeps, and the leaf-sum kernel with its lane `exp` — runs through this
+//! module. Each kernel has exactly **one**
 //! generic body written over a 4-lane abstraction ([`Lanes`]) and two
 //! backends:
 //!
@@ -49,11 +49,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::fused::{
-    pair_ip_max_term, pair_ip_min_term, pair_max_term, pair_min_term, quad_max_term,
-    quad_min_term, rect_ip_max_term, rect_ip_min_term, rect_max_term, rect_min_term,
-    BallQueryNode, RectQueryNode,
-};
+use crate::fused::{rect_ip_max_term, rect_ip_min_term, rect_max_term, rect_min_term};
 
 /// Name of the environment variable that selects the SIMD backend
 /// (`auto` | `avx2` | `scalar`). Read once, at first dispatch.
@@ -233,9 +229,7 @@ fn fmax(a: f64, b: f64) -> f64 {
 ///
 /// Every method is one IEEE-754 operation per lane, performed in lane
 /// order by the scalar backend and as one vector instruction by the AVX2
-/// backend — that is the whole bitwise-equality argument. Comparison masks
-/// are represented as lanes whose bits are all-ones (true) or all-zeros
-/// (false); [`Lanes::select`] keys on the sign bit, mirroring `blendv`.
+/// backend — that is the whole bitwise-equality argument.
 trait Lanes: Copy {
     /// All four lanes set to `v`.
     fn splat(v: f64) -> Self;
@@ -249,22 +243,12 @@ trait Lanes: Copy {
     fn sub(self, o: Self) -> Self;
     /// Lanewise `a * b`.
     fn mul(self, o: Self) -> Self;
-    /// Lanewise `a / b`.
-    fn div(self, o: Self) -> Self;
     /// Lanewise canonical min (`a < b ? a : b`).
     fn min(self, o: Self) -> Self;
     /// Lanewise canonical max (`a > b ? a : b`).
     fn max(self, o: Self) -> Self;
     /// Lanewise `|a|` (clears the sign bit).
     fn abs(self) -> Self;
-    /// Lanewise `-a` (flips the sign bit).
-    fn neg(self) -> Self;
-    /// Lanewise ordered `a > b` mask (all-ones / all-zeros bits).
-    fn gt(self, o: Self) -> Self;
-    /// Lanewise bitwise AND (mask conjunction).
-    fn and(self, o: Self) -> Self;
-    /// Lanewise `mask-sign-bit ? t : f` (the `blendv` rule).
-    fn select(mask: Self, t: Self, f: Self) -> Self;
     /// Lanewise correctly rounded `√a`.
     fn sqrt(self) -> Self;
     /// Lanewise bit pattern shifted left by 52: the low 12 bits of the
@@ -346,11 +330,6 @@ impl Lanes for ScalarLanes {
     }
 
     #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        scalar_lanewise!(self, o, |a: f64, b: f64| a / b)
-    }
-
-    #[inline(always)]
     fn min(self, o: Self) -> Self {
         scalar_lanewise!(self, o, fmin)
     }
@@ -364,41 +343,6 @@ impl Lanes for ScalarLanes {
     fn abs(self) -> Self {
         let a = self.0;
         ScalarLanes([a[0].abs(), a[1].abs(), a[2].abs(), a[3].abs()])
-    }
-
-    #[inline(always)]
-    fn neg(self) -> Self {
-        let a = self.0;
-        ScalarLanes([-a[0], -a[1], -a[2], -a[3]])
-    }
-
-    #[inline(always)]
-    fn gt(self, o: Self) -> Self {
-        scalar_lanewise!(self, o, |a: f64, b: f64| if a > b {
-            f64::from_bits(u64::MAX)
-        } else {
-            f64::from_bits(0)
-        })
-    }
-
-    #[inline(always)]
-    fn and(self, o: Self) -> Self {
-        scalar_lanewise!(self, o, |a: f64, b: f64| f64::from_bits(
-            a.to_bits() & b.to_bits()
-        ))
-    }
-
-    #[inline(always)]
-    fn select(mask: Self, t: Self, f: Self) -> Self {
-        let (m, t, f) = (mask.0, t.0, f.0);
-        let pick = |k: usize| {
-            if m[k].to_bits() >> 63 != 0 {
-                t[k]
-            } else {
-                f[k]
-            }
-        };
-        ScalarLanes([pick(0), pick(1), pick(2), pick(3)])
     }
 
     #[inline(always)]
@@ -437,11 +381,10 @@ impl Lanes for ScalarLanes {
 mod x86 {
     use super::*;
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd,
-        _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_hadd_pd,
-        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
-        _mm256_set1_pd, _mm256_slli_epi64, _mm256_sqrt_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm256_xor_pd, _CMP_GT_OQ,
+        __m256d, _mm256_add_pd, _mm256_andnot_pd, _mm256_castpd_si256, _mm256_castsi256_pd,
+        _mm256_hadd_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd,
+        _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_slli_epi64, _mm256_sqrt_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
     };
 
     /// The AVX2 backend: one `__m256d` per accumulator, one vector
@@ -490,12 +433,6 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            // SAFETY: see the module safety argument.
-            Avx2Lanes(unsafe { _mm256_div_pd(self.0, o.0) })
-        }
-
-        #[inline(always)]
         fn min(self, o: Self) -> Self {
             // SAFETY: see the module safety argument. `minpd` is the
             // canonical `a < b ? a : b`.
@@ -516,35 +453,6 @@ mod x86 {
             // SAFETY: see the module safety argument. andnot with -0.0
             // clears the sign bit, exactly like `f64::abs`.
             Avx2Lanes(unsafe { _mm256_andnot_pd(sign, self.0) })
-        }
-
-        #[inline(always)]
-        fn neg(self) -> Self {
-            // SAFETY: see the module safety argument.
-            let sign = unsafe { _mm256_set1_pd(-0.0) };
-            // SAFETY: see the module safety argument. xor with -0.0 flips
-            // the sign bit, exactly like scalar negation.
-            Avx2Lanes(unsafe { _mm256_xor_pd(self.0, sign) })
-        }
-
-        #[inline(always)]
-        fn gt(self, o: Self) -> Self {
-            // SAFETY: see the module safety argument. Ordered-quiet `>`,
-            // false on NaN, like the scalar `>`.
-            Avx2Lanes(unsafe { _mm256_cmp_pd::<_CMP_GT_OQ>(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn and(self, o: Self) -> Self {
-            // SAFETY: see the module safety argument.
-            Avx2Lanes(unsafe { _mm256_and_pd(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn select(mask: Self, t: Self, f: Self) -> Self {
-            // SAFETY: see the module safety argument. blendv picks `t`
-            // where the mask sign bit is set.
-            Avx2Lanes(unsafe { _mm256_blendv_pd(f.0, t.0, mask.0) })
         }
 
         #[inline(always)]
@@ -794,206 +702,6 @@ fn ball_ip_body<const AGG: bool, L: Lanes>(q: &[f64], center: &[f64], a: &[f64])
         j += 1;
     }
     (qc.hsum(qc_t), if AGG { qa.hsum(qa_t) } else { 0.0 })
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the fused pair probe, flat slices beat a struct
-#[inline(always)]
-fn rect_rect_dist_body<const AGG: bool, L: Lanes>(
-    qlo: &[f64],
-    qhi: &[f64],
-    qlo2: &[f64],
-    qhi2: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-    w: f64,
-) -> (f64, f64, f64, f64) {
-    let d = qlo.len();
-    let blocks = d - d % 4;
-    let zero = L::splat(0.0);
-    let wv = L::splat(w);
-    let two = L::splat(2.0);
-    let (mut mn, mut mx, mut gn, mut gx) = (zero, zero, zero, zero);
-    let mut j = 0;
-    while j < blocks {
-        let ql = L::load(qlo, j);
-        let qh = L::load(qhi, j);
-        let l = L::load(lo, j);
-        let h = L::load(hi, j);
-        let gap = l.sub(qh).max(ql.sub(h)).max(zero);
-        mn = mn.add(gap.mul(gap));
-        let far = h.sub(ql).max(qh.sub(l));
-        mx = mx.add(far.mul(far));
-        if AGG {
-            let ql2 = L::load(qlo2, j);
-            let qh2 = L::load(qhi2, j);
-            let av = L::load(a, j);
-            // g(t) = w·t² − 2·a·t at both endpoints, exactly the scalar
-            // operation order of `quad_min_term`/`quad_max_term`.
-            let ta = two.mul(av);
-            let gl = wv.mul(ql2).sub(ta.mul(ql));
-            let gh = wv.mul(qh2).sub(ta.mul(qh));
-            let m = gl.min(gh);
-            let v = av.div(wv);
-            let vert = av.mul(av).neg().div(wv);
-            let inside = v.gt(ql).and(qh.gt(v));
-            gn = gn.add(L::select(inside, m.min(vert), m));
-            gx = gx.add(gl.max(gh));
-        }
-        j += 4;
-    }
-    let (mut mn_t, mut mx_t, mut gn_t, mut gx_t) = (0.0, 0.0, 0.0, 0.0);
-    while j < d {
-        let (ql, qh, l, h) = (qlo[j], qhi[j], lo[j], hi[j]);
-        mn_t += pair_min_term(ql, qh, l, h);
-        mx_t += pair_max_term(ql, qh, l, h);
-        if AGG {
-            gn_t += quad_min_term(ql, qh, qlo2[j], qhi2[j], a[j], w);
-            gx_t += quad_max_term(ql, qh, qlo2[j], qhi2[j], a[j], w);
-        }
-        j += 1;
-    }
-    (
-        mn.hsum(mn_t),
-        mx.hsum(mx_t),
-        if AGG { gn.hsum(gn_t) } else { 0.0 },
-        if AGG { gx.hsum(gx_t) } else { 0.0 },
-    )
-}
-
-#[inline(always)]
-fn rect_rect_ip_body<const AGG: bool, L: Lanes>(
-    qlo: &[f64],
-    qhi: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let d = qlo.len();
-    let blocks = d - d % 4;
-    let zero = L::splat(0.0);
-    let (mut mn, mut mx, mut an, mut ax) = (zero, zero, zero, zero);
-    let mut j = 0;
-    while j < blocks {
-        let ql = L::load(qlo, j);
-        let qh = L::load(qhi, j);
-        let l = L::load(lo, j);
-        let h = L::load(hi, j);
-        let p1 = ql.mul(l);
-        let p2 = ql.mul(h);
-        let p3 = qh.mul(l);
-        let p4 = qh.mul(h);
-        mn = mn.add(p1.min(p2).min(p3.min(p4)));
-        mx = mx.add(p1.max(p2).max(p3.max(p4)));
-        if AGG {
-            let av = L::load(a, j);
-            let pa = ql.mul(av);
-            let pb = qh.mul(av);
-            an = an.add(pa.min(pb));
-            ax = ax.add(pa.max(pb));
-        }
-        j += 4;
-    }
-    let (mut mn_t, mut mx_t, mut an_t, mut ax_t) = (0.0, 0.0, 0.0, 0.0);
-    while j < d {
-        let (ql, qh, l, h) = (qlo[j], qhi[j], lo[j], hi[j]);
-        mn_t += pair_ip_min_term(ql, qh, l, h);
-        mx_t += pair_ip_max_term(ql, qh, l, h);
-        if AGG {
-            let aj = a[j];
-            an_t += fmin(ql * aj, qh * aj);
-            ax_t += fmax(ql * aj, qh * aj);
-        }
-        j += 1;
-    }
-    (
-        mn.hsum(mn_t),
-        mx.hsum(mx_t),
-        if AGG { an.hsum(an_t) } else { 0.0 },
-        if AGG { ax.hsum(ax_t) } else { 0.0 },
-    )
-}
-
-#[inline(always)]
-fn ball_ball_dist_body<const AGG: bool, L: Lanes>(
-    q: &[f64],
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64) {
-    let d = q.len();
-    let blocks = d - d % 4;
-    let zero = L::splat(0.0);
-    let (mut ds, mut qa, mut aa) = (zero, zero, zero);
-    let mut j = 0;
-    while j < blocks {
-        let x = L::load(q, j);
-        let dd = x.sub(L::load(center, j));
-        ds = ds.add(dd.mul(dd));
-        if AGG {
-            let av = L::load(a, j);
-            qa = qa.add(x.mul(av));
-            aa = aa.add(av.mul(av));
-        }
-        j += 4;
-    }
-    let (mut ds_t, mut qa_t, mut aa_t) = (0.0, 0.0, 0.0);
-    while j < d {
-        let x = q[j];
-        let dd = x - center[j];
-        ds_t += dd * dd;
-        if AGG {
-            qa_t += x * a[j];
-            aa_t += a[j] * a[j];
-        }
-        j += 1;
-    }
-    (
-        ds.hsum(ds_t),
-        if AGG { qa.hsum(qa_t) } else { 0.0 },
-        if AGG { aa.hsum(aa_t) } else { 0.0 },
-    )
-}
-
-#[inline(always)]
-fn ball_ball_ip_body<const AGG: bool, L: Lanes>(
-    q: &[f64],
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let d = q.len();
-    let blocks = d - d % 4;
-    let zero = L::splat(0.0);
-    let (mut qc, mut cc, mut qa, mut aa) = (zero, zero, zero, zero);
-    let mut j = 0;
-    while j < blocks {
-        let x = L::load(q, j);
-        let c = L::load(center, j);
-        qc = qc.add(x.mul(c));
-        cc = cc.add(c.mul(c));
-        if AGG {
-            let av = L::load(a, j);
-            qa = qa.add(x.mul(av));
-            aa = aa.add(av.mul(av));
-        }
-        j += 4;
-    }
-    let (mut qc_t, mut cc_t, mut qa_t, mut aa_t) = (0.0, 0.0, 0.0, 0.0);
-    while j < d {
-        let (x, c) = (q[j], center[j]);
-        qc_t += x * c;
-        cc_t += c * c;
-        if AGG {
-            qa_t += x * a[j];
-            aa_t += a[j] * a[j];
-        }
-        j += 1;
-    }
-    (
-        qc.hsum(qc_t),
-        cc.hsum(cc_t),
-        if AGG { qa.hsum(qa_t) } else { 0.0 },
-        if AGG { aa.hsum(aa_t) } else { 0.0 },
-    )
 }
 
 #[inline(always)]
@@ -1323,50 +1031,6 @@ mod avx2_entry {
         ball_ip_body::<AGG, Avx2Lanes>(q, center, a)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the generic body
-    #[target_feature(enable = "avx2")]
-    pub(super) fn rect_rect_dist<const AGG: bool>(
-        qlo: &[f64],
-        qhi: &[f64],
-        qlo2: &[f64],
-        qhi2: &[f64],
-        lo: &[f64],
-        hi: &[f64],
-        a: &[f64],
-        w: f64,
-    ) -> (f64, f64, f64, f64) {
-        rect_rect_dist_body::<AGG, Avx2Lanes>(qlo, qhi, qlo2, qhi2, lo, hi, a, w)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn rect_rect_ip<const AGG: bool>(
-        qlo: &[f64],
-        qhi: &[f64],
-        lo: &[f64],
-        hi: &[f64],
-        a: &[f64],
-    ) -> (f64, f64, f64, f64) {
-        rect_rect_ip_body::<AGG, Avx2Lanes>(qlo, qhi, lo, hi, a)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn ball_ball_dist<const AGG: bool>(
-        q: &[f64],
-        center: &[f64],
-        a: &[f64],
-    ) -> (f64, f64, f64) {
-        ball_ball_dist_body::<AGG, Avx2Lanes>(q, center, a)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn ball_ball_ip<const AGG: bool>(
-        q: &[f64],
-        center: &[f64],
-        a: &[f64],
-    ) -> (f64, f64, f64, f64) {
-        ball_ball_ip_body::<AGG, Avx2Lanes>(q, center, a)
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) fn axpy(acc: &mut [f64], w: f64, p: &[f64]) {
         axpy_body::<Avx2Lanes>(acc, w, p)
@@ -1533,88 +1197,6 @@ pub fn ball_ip_with<const AGG: bool>(
         // SAFETY: an avx2 backend witness implies the feature is detected.
         KIND_AVX2 => unsafe { avx2_entry::ball_ip::<AGG>(q, center, a) },
         _ => ball_ip_body::<AGG, ScalarLanes>(q, center, a),
-    }
-}
-
-/// Fused rectangle-vs-rectangle pair probe on the chosen backend; see
-/// [`crate::fused::rect_rect_dist`].
-#[inline]
-pub fn rect_rect_dist_with<const AGG: bool>(
-    be: SimdBackend,
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-    w: f64,
-) -> (f64, f64, f64, f64) {
-    let (qlo, qhi) = (qnode.lo(), qnode.hi());
-    let (qlo2, qhi2) = (qnode.lo2(), qnode.hi2());
-    check_probe(qlo.len(), lo.len(), hi.len(), AGG, a.len());
-    match be.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an avx2 backend witness implies the feature is detected.
-        KIND_AVX2 => unsafe {
-            avx2_entry::rect_rect_dist::<AGG>(qlo, qhi, qlo2, qhi2, lo, hi, a, w)
-        },
-        _ => rect_rect_dist_body::<AGG, ScalarLanes>(qlo, qhi, qlo2, qhi2, lo, hi, a, w),
-    }
-}
-
-/// Fused rectangle-vs-rectangle inner-product pair probe on the chosen
-/// backend; see [`crate::fused::rect_rect_ip`].
-#[inline]
-pub fn rect_rect_ip_with<const AGG: bool>(
-    be: SimdBackend,
-    qnode: &RectQueryNode<'_>,
-    lo: &[f64],
-    hi: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let (qlo, qhi) = (qnode.lo(), qnode.hi());
-    check_probe(qlo.len(), lo.len(), hi.len(), AGG, a.len());
-    match be.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an avx2 backend witness implies the feature is detected.
-        KIND_AVX2 => unsafe { avx2_entry::rect_rect_ip::<AGG>(qlo, qhi, lo, hi, a) },
-        _ => rect_rect_ip_body::<AGG, ScalarLanes>(qlo, qhi, lo, hi, a),
-    }
-}
-
-/// Fused ball-vs-ball pair probe on the chosen backend; see
-/// [`crate::fused::ball_ball_dist`].
-#[inline]
-pub fn ball_ball_dist_with<const AGG: bool>(
-    be: SimdBackend,
-    qnode: &BallQueryNode<'_>,
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64) {
-    let q = qnode.center();
-    check_probe(q.len(), center.len(), center.len(), AGG, a.len());
-    match be.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an avx2 backend witness implies the feature is detected.
-        KIND_AVX2 => unsafe { avx2_entry::ball_ball_dist::<AGG>(q, center, a) },
-        _ => ball_ball_dist_body::<AGG, ScalarLanes>(q, center, a),
-    }
-}
-
-/// Fused ball-vs-ball inner-product pair probe on the chosen backend; see
-/// [`crate::fused::ball_ball_ip`].
-#[inline]
-pub fn ball_ball_ip_with<const AGG: bool>(
-    be: SimdBackend,
-    qnode: &BallQueryNode<'_>,
-    center: &[f64],
-    a: &[f64],
-) -> (f64, f64, f64, f64) {
-    let q = qnode.center();
-    check_probe(q.len(), center.len(), center.len(), AGG, a.len());
-    match be.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an avx2 backend witness implies the feature is detected.
-        KIND_AVX2 => unsafe { avx2_entry::ball_ball_ip::<AGG>(q, center, a) },
-        _ => ball_ball_ip_body::<AGG, ScalarLanes>(q, center, a),
     }
 }
 
@@ -1827,33 +1409,6 @@ mod tests {
                 ball_ip_with::<true>(s, &q, &lo, &a),
                 ball_ip_with::<true>(v, &q, &lo, &a),
                 "ball_ip n={n}"
-            );
-
-            let qlo: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin() * 2.0 - 1.0).collect();
-            let qhi: Vec<f64> = qlo.iter().map(|x| x + 1.3).collect();
-            let qnode = RectQueryNode::new(&qlo, &qhi);
-            for w in [1.75, 0.4, -0.9] {
-                assert_eq!(
-                    rect_rect_dist_with::<true>(s, &qnode, &lo, &hi, &a, w),
-                    rect_rect_dist_with::<true>(v, &qnode, &lo, &hi, &a, w),
-                    "rect_rect_dist n={n} w={w}"
-                );
-            }
-            assert_eq!(
-                rect_rect_ip_with::<true>(s, &qnode, &lo, &hi, &a),
-                rect_rect_ip_with::<true>(v, &qnode, &lo, &hi, &a),
-                "rect_rect_ip n={n}"
-            );
-            let bnode = BallQueryNode::new(&qlo, 0.4);
-            assert_eq!(
-                ball_ball_dist_with::<true>(s, &bnode, &lo, &a),
-                ball_ball_dist_with::<true>(v, &bnode, &lo, &a),
-                "ball_ball_dist n={n}"
-            );
-            assert_eq!(
-                ball_ball_ip_with::<true>(s, &bnode, &lo, &a),
-                ball_ball_ip_with::<true>(v, &bnode, &lo, &a),
-                "ball_ball_ip n={n}"
             );
 
             let mut acc_s = lo.clone();

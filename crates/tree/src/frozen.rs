@@ -18,7 +18,7 @@
 //! bounds computed from a frozen node are bit-identical to bounds computed
 //! from the pointer node.
 
-use karl_geom::{Buf, PointSet};
+use karl_geom::Buf;
 
 use crate::tree::{NodeId, NodeShape, Tree};
 
@@ -216,14 +216,6 @@ impl FrozenTree {
         &self.weighted_sum
     }
 
-    /// The full per-node `W_R` buffer (`num_nodes`), for batched kernels
-    /// that index it by node id themselves — the dual-tree pair kernels
-    /// need the weight sum alongside `a_R` for every node in one pass.
-    #[inline]
-    pub fn weight_sums(&self) -> &[f64] {
-        &self.weight_sum
-    }
-
     /// The packed shape buffers.
     #[inline]
     pub fn shapes(&self) -> &FrozenShapes {
@@ -285,23 +277,11 @@ impl<S: NodeShape> Tree<S> {
     }
 }
 
-/// Convenience: freeze a tree built fresh over `points`/`weights` (used by
-/// tests and benchmarks).
-pub fn freeze_built<S: NodeShape>(
-    points: PointSet,
-    weights: &[f64],
-    leaf_capacity: usize,
-) -> (Tree<S>, FrozenTree) {
-    let tree = Tree::<S>::build(points, weights, leaf_capacity);
-    let frozen = tree.freeze();
-    (tree, frozen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::{BallTree, KdTree};
-    use karl_geom::BoundingShape;
+    use karl_geom::{BoundingShape, PointSet};
     use karl_testkit::rng::{Rng, SeedableRng, StdRng};
 
     fn random_points(n: usize, d: usize, seed: u64) -> PointSet {

@@ -13,16 +13,14 @@
 #   * throughput_batch — end-to-end queries/s: sequential pointer engine
 #     (baseline) vs the default frozen engine, scratch reuse, and
 #     QueryBatch at 1/2/4/8 worker threads (eKAQ and TKAQ workloads),
-#     plus the dual_tkaq section: node visits and queries/s of the
-#     dual-tree descent vs the single-tree engine on a clustered grid
-#     of TKAQ queries, and the coreset_cascade section: tier-1 decided
-#     fraction and end-to-end speedup of the certified coreset cascade
-#     vs the same-process full-tree control on a quantized skewed-τ
-#     level-set workload;
+#     plus the coreset_cascade section: tier-1 decided fraction and
+#     end-to-end speedup of the certified coreset cascade vs the
+#     same-process full-tree control on a quantized skewed-τ level-set
+#     grid of TKAQ queries;
 #   * frozen_bounds — per-node bound-kernel throughput (bounds/s),
 #     pointer vs frozen, kd and ball families, SOTA and KARL methods,
-#     plus the envelope_micro section: envelopes/s for the direct
-#     builder vs a cold (all-miss) and a warm (all-hit) envelope cache;
+#     plus the envelope_micro section: envelopes/s of the envelope
+#     builder on intervals harvested from the workload;
 #   * cold_start — process cold-start cost at three dataset sizes:
 #     rebuilding the evaluator from raw points vs loading the persisted
 #     index file (one bulk read + checksum walk, zero per-node work),

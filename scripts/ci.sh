@@ -34,12 +34,6 @@ echo "==> guard: mmap loader passes the round-trip suite (--features mmap)"
 cargo test -q --offline -p karl --features mmap --test index_persist_equivalence
 cargo test -q --offline -p karl-tree --features mmap
 
-echo "==> guard: envelope cache bitwise-neutral at KARL_THREADS=4"
-KARL_THREADS=4 cargo test -q --offline -p karl --test envelope_cache_equivalence
-
-echo "==> guard: dual-tree answers match the per-query engine at KARL_THREADS=4"
-KARL_THREADS=4 cargo test -q --offline -p karl --test dual_tree_equivalence
-
 echo "==> guard: coreset cascade answers match the plain engine at KARL_THREADS=4"
 KARL_THREADS=4 cargo test -q --offline -p karl --test coreset_cascade_equivalence
 
@@ -55,13 +49,17 @@ KARL_SIMD=scalar cargo test -q --offline -p karl --test index_persist_equivalenc
 KARL_SIMD=scalar cargo test -q --offline -p karl --test simd_equivalence
 KARL_SIMD=scalar cargo test -q --offline -p karl-geom
 
-echo "==> guard: karl-geom and karl-tree suites under AddressSanitizer (nightly)"
+echo "==> guard: karl-geom and karl-tree suites (plain and mmap) under AddressSanitizer (nightly)"
 # The unsafe code lives in karl_geom (the SIMD entry points, including the
 # once-per-leaf leaf-sum kernel, and the aligned buffers) and in the
 # karl_tree index arena, so both unit suites run instrumented. An explicit
 # --target keeps the sanitizer out of build scripts and proc macros.
 RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --offline \
     --target x86_64-unknown-linux-gnu -p karl-geom -p karl-tree
+# The mmap loader maps index files with direct syscalls: run the karl-tree
+# suite again with it compiled in.
+RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --offline \
+    --target x86_64-unknown-linux-gnu -p karl-tree --features mmap
 
 echo "==> guard: run counters build and pass under --features stats"
 cargo test -q --offline -p karl-core --features stats

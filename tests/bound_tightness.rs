@@ -3,12 +3,10 @@
 //! both enclose the exact aggregate. (The paper's figure reports the same
 //! quantities as averages; here they are asserted per level.)
 
-use karl::core::{
-    node_bounds, pair_bounds_frozen, BoundMethod, DualQueryContext, Evaluator, Kernel, QueryRegion,
-};
+use karl::core::{node_bounds, BoundMethod, Evaluator, Kernel};
 use karl::data::{by_name, sample_queries};
 use karl::geom::{norm2, PointSet, Rect};
-use karl::tree::{freeze_built, NodeShape, NodeStats};
+use karl::tree::NodeStats;
 use karl_testkit::oracle::{check_bracket, check_tighter, exact_sum, Interval};
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -106,136 +104,6 @@ fn random_nodes_bracket_oracle_sum_and_karl_ub_dominates() {
             1e-7,
         )
         .unwrap_or_else(|e| panic!("trial {trial} ({kernel:?}): {e}"));
-    }
-}
-
-/// Node-vs-node soundness against the brute-force oracle: for every
-/// query-tree node × data-tree node pair, the joint interval produced by
-/// the dual pair kernels must bracket `Σ wᵢ·k(q, xᵢ)` over the data
-/// node's points for **every** query stored in the query node — the
-/// invariant [`QueryBatch::run_dual`]'s wholesale decisions rest on.
-///
-/// The query set deliberately contains exact duplicates so some query
-/// leaves have zero-volume (single-point) bounding volumes, pinning the
-/// degenerate end of the joint-interval math.
-#[test]
-fn joint_pair_bounds_bracket_the_oracle_for_every_member_query() {
-    fn check_family<S: NodeShape>() {
-        let mut rng = StdRng::seed_from_u64(0xD0A1);
-        let n = 260;
-        let d = 3;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(
-                (0..d)
-                    .map(|_| rng.random_range(-2.0..2.0))
-                    .collect::<Vec<f64>>(),
-            );
-        }
-        let ps = PointSet::from_rows(&rows);
-        let w: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..2.0)).collect();
-        let (dtree, dfrozen) = freeze_built::<S>(ps, &w, 16);
-
-        // 12 distinct queries, each duplicated → zero-volume query leaves.
-        let mut qrows = Vec::new();
-        for _ in 0..12 {
-            let q: Vec<f64> = (0..d).map(|_| rng.random_range(-2.5..2.5)).collect();
-            qrows.push(q.clone());
-            qrows.push(q);
-        }
-        let qps = PointSet::from_rows(&qrows);
-        let ones = vec![1.0; qps.len()];
-        let (qtree, qfrozen) = freeze_built::<S>(qps, &ones, 3);
-
-        let kernels = [
-            Kernel::gaussian(0.8),
-            Kernel::laplacian(0.6),
-            Kernel::polynomial(0.3, 0.2, 2),
-            Kernel::sigmoid(0.2, 0.1),
-        ];
-        for kernel in kernels {
-            for method in [BoundMethod::Karl, BoundMethod::Sota] {
-                for qnode in 0..qfrozen.num_nodes() as u32 {
-                    let ctx = DualQueryContext::from_frozen(&kernel, method, &qfrozen, qnode);
-                    let (qs, qe) = qfrozen.range(qnode);
-                    for dnode in 0..dfrozen.num_nodes() as u32 {
-                        let b = pair_bounds_frozen(&ctx, &dfrozen, dnode);
-                        let (ds, de) = dfrozen.range(dnode);
-                        for qi in qs..qe {
-                            let q = qtree.points().point(qi);
-                            let truth = exact_sum(
-                                (ds..de).map(|i| dtree.points().point(i)),
-                                &dtree.weights()[ds..de],
-                                q,
-                                |a, b| kernel.eval(a, b),
-                            );
-                            check_bracket(b.lb, truth, b.ub, 1e-7).unwrap_or_else(|e| {
-                                panic!("{kernel:?} {method:?} q{qnode} x d{dnode}: {e}")
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    check_family::<Rect>();
-    check_family::<karl::geom::Ball>();
-}
-
-/// The joint interval must hold not just for the stored queries but for
-/// *any* point of the query region — sampled interior points and the
-/// region's corners all get bracketed by the root pair's bounds.
-#[test]
-fn joint_pair_bounds_hold_for_sampled_points_of_the_region() {
-    let mut rng = StdRng::seed_from_u64(0xD0A2);
-    let n = 220;
-    let d = 3;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(
-            (0..d)
-                .map(|_| rng.random_range(-2.0..2.0))
-                .collect::<Vec<f64>>(),
-        );
-    }
-    let ps = PointSet::from_rows(&rows);
-    let w: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..2.0)).collect();
-    let (dtree, dfrozen) = freeze_built::<Rect>(ps, &w, 12);
-
-    let lo = [-1.25, -0.5, 0.25];
-    let hi = [0.5, 0.75, 1.5];
-    let kernel = Kernel::gaussian(0.7);
-    for method in [BoundMethod::Karl, BoundMethod::Sota] {
-        let ctx = DualQueryContext::new(&kernel, method, QueryRegion::Rect { lo: &lo, hi: &hi });
-        // 8 corners + 24 interior samples of the region.
-        let mut samples: Vec<Vec<f64>> = (0..8u32)
-            .map(|m| {
-                (0..d)
-                    .map(|j| if m >> j & 1 == 1 { hi[j] } else { lo[j] })
-                    .collect()
-            })
-            .collect();
-        for _ in 0..24 {
-            samples.push(
-                (0..d)
-                    .map(|j| rng.random_range(lo[j]..=hi[j]))
-                    .collect::<Vec<f64>>(),
-            );
-        }
-        for dnode in 0..dfrozen.num_nodes() as u32 {
-            let b = pair_bounds_frozen(&ctx, &dfrozen, dnode);
-            let (ds, de) = dfrozen.range(dnode);
-            for q in &samples {
-                let truth = exact_sum(
-                    (ds..de).map(|i| dtree.points().point(i)),
-                    &dtree.weights()[ds..de],
-                    q,
-                    |a, b| kernel.eval(a, b),
-                );
-                check_bracket(b.lb, truth, b.ub, 1e-7)
-                    .unwrap_or_else(|e| panic!("{method:?} d{dnode} q={q:?}: {e}"));
-            }
-        }
     }
 }
 

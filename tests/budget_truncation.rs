@@ -263,65 +263,10 @@ fn budgeted_ekaq_reports_achieved_error() {
 }
 
 #[test]
-fn dual_wholesale_decisions_are_complete_despite_a_starving_budget() {
-    // A joint query-node decision costs zero refinement iterations, so
-    // even a 1-node budget cannot trip it: with τ far above every
-    // aggregate, the descent decides the whole batch wholesale and no
-    // query reports `Truncated`.
-    let (eval, _, _, _) = build(8);
-    let queries = clustered(60, 3, 77);
-    let report = QueryBatch::new(&queries, Query::Tkaq { tau: 1000.0 })
-        .threads(2)
-        .budget(Budget::unlimited().max_nodes(1))
-        .try_run_dual(&eval)
-        .unwrap();
-    assert_eq!(report.dual_wholesale(), 60, "τ=1000 must decide wholesale");
-    assert_eq!(report.truncated_count(), 0);
-    for r in report.results() {
-        match r.as_ref().unwrap() {
-            Outcome::Complete(run) => assert_eq!(run.iterations, 0),
-            Outcome::Truncated { reason, .. } => panic!("wholesale slot truncated: {reason}"),
-        }
-    }
-}
-
-#[test]
-fn dual_fallback_queries_truncate_with_certified_intervals() {
-    // τ pinned to one query's exact aggregate: its query node can never
-    // be decided jointly, so it falls back to the budgeted per-query
-    // path, trips the 2-node budget, and must still report an interval
-    // enclosing the exact value — the anytime guarantee through the
-    // dual path.
-    let (eval, ps, w, kernel) = build(9);
-    let queries = clustered(60, 3, 78);
-    let tau = aggregate_exact(&kernel, &ps, &w, queries.point(0));
-    let report = QueryBatch::new(&queries, Query::Tkaq { tau })
-        .threads(2)
-        .budget(Budget::unlimited().max_nodes(2))
-        .try_run_dual(&eval)
-        .unwrap();
-    assert!(
-        report.truncated_count() > 0,
-        "a τ on the decision boundary must starve at least query 0"
-    );
-    for (i, r) in report.results().iter().enumerate() {
-        if let Outcome::Truncated { lb, ub, reason } = r.as_ref().unwrap() {
-            assert_eq!(*reason, TruncateReason::NodeBudget, "query {i}");
-            let exact = aggregate_exact(&kernel, &ps, &w, queries.point(i));
-            let tol = 1e-9 * (1.0 + exact.abs());
-            assert!(
-                *lb <= exact + tol && exact <= *ub + tol,
-                "query {i}: truncated interval [{lb}, {ub}] misses {exact}"
-            );
-        }
-    }
-}
-
-#[test]
 fn coreset_decided_queries_are_complete_despite_a_starving_budget() {
     // The coreset tier is unbudgeted (its cost is bounded by the coreset
-    // size) and the caller's budget governs the fall-through run only —
-    // the same contract as dual wholesale decisions. With τ far above
+    // size) and the caller's budget governs the fall-through run only.
+    // With τ far above
     // every aggregate the widened tier interval decides every query, so
     // even a 1-node budget produces zero truncations.
     let (eval, ps, w, kernel) = build(10);

@@ -1,13 +1,16 @@
 //! Batch fault containment under injected faults (feature `fault-inject`):
-//! with panics / NaN queries forced at chosen indices, `try_run` must
+//! with panics / NaN queries planned at chosen slots, `try_run` must
 //! return `Err` for exactly those queries — with the right error variant —
 //! and **bitwise identical** `Ok` outcomes for every other query, at 1, 2,
 //! 4 and 8 threads. A panicking query also quarantines the worker's
-//! scratch (it is discarded, never reused).
+//! scratch (it is discarded, never reused). A plan belongs to its batch,
+//! so these tests run in parallel without seeing each other's faults.
 #![cfg(feature = "fault-inject")]
 
+use std::sync::Barrier;
+
 use karl::core::{
-    fault, BoundMethod, Coreset, Evaluator, Fault, KarlError, Kernel, Outcome, Query, QueryBatch,
+    BoundMethod, Coreset, Evaluator, Fault, KarlError, Kernel, Outcome, Query, QueryBatch,
 };
 use karl::geom::{PointSet, Rect};
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -52,10 +55,10 @@ fn injected_faults_poison_exactly_their_own_slots() {
     let (eval, queries) = setup();
     let baseline = healthy_outcomes(&eval, &queries);
     let plan = [(3usize, Fault::Panic), (17, Fault::Nan), (40, Fault::Panic)];
-    let _guard = fault::inject(&plan);
     for threads in [1, 2, 4, 8] {
         let report = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 })
             .threads(threads)
+            .faults(&plan)
             .try_run(&eval)
             .unwrap();
         assert_eq!(report.len(), queries.len());
@@ -89,110 +92,90 @@ fn injected_faults_poison_exactly_their_own_slots() {
 }
 
 #[test]
-fn guard_drop_clears_the_plan() {
+fn a_plan_stays_with_its_batch() {
     let (eval, queries) = setup();
-    {
-        let _guard = fault::inject(&[(0, Fault::Panic)]);
-        let report = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 })
-            .threads(2)
-            .try_run(&eval)
-            .unwrap();
-        assert_eq!(report.failed_indices(), vec![0]);
-    }
-    // Plan cleared on drop: the same batch is now fully healthy.
+    let spec = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 }).threads(2);
+    let report = spec
+        .clone()
+        .faults(&[(0, Fault::Panic)])
+        .try_run(&eval)
+        .unwrap();
+    assert_eq!(report.failed_indices(), vec![0]);
+    // The batch the plan was cloned from carries none of it, and slots
+    // beyond the batch never fire.
+    let report = spec.try_run(&eval).unwrap();
+    assert!(!report.has_failures());
+    assert_eq!(report.quarantined(), 0);
     let report = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 })
-        .threads(2)
+        .faults(&[(queries.len(), Fault::Panic)])
         .try_run(&eval)
         .unwrap();
     assert!(!report.has_failures());
-    assert_eq!(report.quarantined(), 0);
+}
+
+/// Two batches on two threads at once, one of them planned to fail in
+/// every slot: the healthy batch must see none of those faults and keep
+/// every bit of a solo run. Each round starts both batches behind a
+/// barrier so their runs overlap.
+#[test]
+fn concurrent_healthy_batch_never_sees_another_batchs_plan() {
+    let (eval, queries) = setup();
+    let query = Query::Ekaq { eps: 0.1 };
+    let baseline = healthy_outcomes(&eval, &queries);
+    let plan: Vec<(usize, Fault)> = (0..queries.len()).map(|i| (i, Fault::Panic)).collect();
+    for round in 0..20 {
+        let start = Barrier::new(2);
+        let report = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                let faulted = QueryBatch::new(&queries, query)
+                    .threads(1)
+                    .faults(&plan)
+                    .try_run(&eval)
+                    .unwrap();
+                assert_eq!(faulted.ok_count(), 0);
+            });
+            start.wait();
+            QueryBatch::new(&queries, query)
+                .threads(1)
+                .try_run(&eval)
+                .unwrap()
+        });
+        assert_eq!(
+            report.failed_indices(),
+            Vec::<usize>::new(),
+            "round {round}"
+        );
+        assert_eq!(report.quarantined(), 0, "round {round}");
+        for (i, r) in report.results().iter().enumerate() {
+            let (out, b) = (r.as_ref().unwrap(), &baseline[i]);
+            assert_eq!(
+                out.lb().to_bits(),
+                b.lb().to_bits(),
+                "round {round} query {i}"
+            );
+            assert_eq!(
+                out.ub().to_bits(),
+                b.ub().to_bits(),
+                "round {round} query {i}"
+            );
+        }
+    }
 }
 
 #[test]
 fn all_faulted_batch_still_completes() {
     let (eval, queries) = setup();
     let plan: Vec<(usize, Fault)> = (0..queries.len()).map(|i| (i, Fault::Panic)).collect();
-    let _guard = fault::inject(&plan);
     for threads in [1, 4] {
         let report = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 })
             .threads(threads)
+            .faults(&plan)
             .try_run(&eval)
             .unwrap();
         assert_eq!(report.ok_count(), 0);
         assert_eq!(report.quarantined(), queries.len());
         assert_eq!(report.failed_indices().len(), queries.len());
-    }
-}
-
-#[test]
-fn dual_path_poisons_exactly_the_planted_slots() {
-    // The dual descent decides whole query nodes wholesale — a planted
-    // fault must still surface in exactly its own slot (fault-planned
-    // queries are excluded from wholesale acceptance), and every other
-    // slot must carry the same bits as a healthy dual run.
-    let (eval, queries) = setup();
-    let query = Query::Tkaq { tau: 0.05 };
-    let healthy: Vec<Outcome> = QueryBatch::new(&queries, query)
-        .threads(1)
-        .try_run_dual(&eval)
-        .unwrap()
-        .results()
-        .iter()
-        .map(|r| *r.as_ref().unwrap())
-        .collect();
-    let plan = [(3usize, Fault::Panic), (17, Fault::Nan), (40, Fault::Panic)];
-    let _guard = fault::inject(&plan);
-    for threads in [1, 2, 4, 8] {
-        let report = QueryBatch::new(&queries, query)
-            .threads(threads)
-            .try_run_dual(&eval)
-            .unwrap();
-        assert_eq!(report.failed_indices(), vec![3, 17, 40], "x{threads}");
-        assert_eq!(report.quarantined(), 2, "x{threads}");
-        for (i, result) in report.results().iter().enumerate() {
-            match result {
-                Ok(out) => {
-                    let b = &healthy[i];
-                    assert_eq!(out.lb().to_bits(), b.lb().to_bits(), "query {i} x{threads}");
-                    assert_eq!(out.ub().to_bits(), b.ub().to_bits(), "query {i} x{threads}");
-                }
-                Err(KarlError::QueryPanicked { index, message }) => {
-                    assert_eq!(*index, i);
-                    assert!(matches!(i, 3 | 40), "unexpected panic slot {i}");
-                    assert!(message.contains("injected fault"), "{message}");
-                }
-                Err(KarlError::NonFiniteQuery { value, .. }) => {
-                    assert_eq!(i, 17);
-                    assert!(value.is_nan());
-                }
-                Err(e) => panic!("query {i}: unexpected error {e}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn dual_wholesale_never_masks_a_planted_fault() {
-    // Even when the joint interval would have decided the faulted query's
-    // whole node, the fault wins: plant a fault at every index in turn of
-    // one query leaf's worth of slots and check it always errs.
-    let (eval, queries) = setup();
-    let query = Query::Tkaq { tau: 0.01 };
-    let clean = QueryBatch::new(&queries, query)
-        .threads(1)
-        .try_run_dual(&eval)
-        .unwrap();
-    assert!(
-        clean.dual_wholesale() > 0,
-        "setup must produce wholesale decisions for the test to bite"
-    );
-    for victim in [0usize, 11, 33, 66] {
-        let _guard = fault::inject(&[(victim, Fault::Panic)]);
-        let report = QueryBatch::new(&queries, query)
-            .threads(2)
-            .try_run_dual(&eval)
-            .unwrap();
-        assert_eq!(report.failed_indices(), vec![victim]);
     }
 }
 
@@ -218,11 +201,11 @@ fn cascade_path_poisons_exactly_the_planted_slots() {
         .map(|r| *r.as_ref().unwrap())
         .collect();
     let plan = [(3usize, Fault::Panic), (17, Fault::Nan), (40, Fault::Panic)];
-    let _guard = fault::inject(&plan);
     for threads in [1, 2, 4, 8] {
         let report = QueryBatch::new(&queries, query)
             .threads(threads)
             .coreset(true)
+            .faults(&plan)
             .try_run(&cascade)
             .unwrap();
         assert_eq!(report.failed_indices(), vec![3, 17, 40], "x{threads}");
@@ -251,30 +234,6 @@ fn cascade_path_poisons_exactly_the_planted_slots() {
                     assert!(value.is_nan());
                 }
                 Err(e) => panic!("query {i}: unexpected error {e}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn envelope_cache_survives_containment_with_identical_bits() {
-    // The quarantine path re-enables the envelope-cache flag on the fresh
-    // scratch; with faults injected, cached healthy outcomes must still be
-    // bitwise identical to the uncached baseline.
-    let (eval, queries) = setup();
-    let baseline = healthy_outcomes(&eval, &queries);
-    let _guard = fault::inject(&[(5, Fault::Panic)]);
-    for threads in [1, 4, 8] {
-        let report = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 })
-            .threads(threads)
-            .envelope_cache(true)
-            .try_run(&eval)
-            .unwrap();
-        assert_eq!(report.failed_indices(), vec![5]);
-        for (i, result) in report.results().iter().enumerate() {
-            if let Ok(out) = result {
-                assert_eq!(out.lb().to_bits(), baseline[i].lb().to_bits(), "query {i}");
-                assert_eq!(out.ub().to_bits(), baseline[i].ub().to_bits(), "query {i}");
             }
         }
     }

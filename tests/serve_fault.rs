@@ -1,19 +1,18 @@
 //! Serve-loop fault quarantine under *injected* faults (feature
-//! `fault-inject`): the fault plan addresses **dispatch ordinals** — "the
-//! k-th request handed to the engine" — via the base offset the serve
-//! loop installs before each micro-batch group, so a panic can be aimed
-//! at a request in the middle of a served stream. The poisoned request
-//! must get a typed error line; every other request keeps bits identical
-//! to an uninjected run of the same script, at 1, 2, 4 and 8 threads.
+//! `fault-inject`): the server's fault plan (`ServeConfig::faults`)
+//! addresses **dispatch ordinals** — "the k-th request handed to the
+//! engine" — which the serve loop maps onto each micro-batch's slots, so
+//! a panic can be aimed at a request in the middle of a served stream.
+//! The poisoned request must get a typed error line; every other request
+//! keeps bits identical to an uninjected run of the same script, at 1, 2,
+//! 4 and 8 threads.
 
 #![cfg(feature = "fault-inject")]
 
 use std::collections::BTreeMap;
 use std::io::Cursor;
 
-use karl::core::{
-    fault, parse_json, AnyEvaluator, BoundMethod, Fault, Json, Kernel, ServeConfig, Server,
-};
+use karl::core::{parse_json, AnyEvaluator, BoundMethod, Fault, Json, Kernel, ServeConfig, Server};
 use karl::geom::PointSet;
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
 use karl_testkit::serve_script::ScriptBuilder;
@@ -57,10 +56,16 @@ fn script() -> (String, Vec<u64>) {
     (s.build(), ids)
 }
 
-fn run(eval: &AnyEvaluator, threads: usize, script: &str) -> (String, u64) {
+fn run(
+    eval: &AnyEvaluator,
+    threads: usize,
+    faults: &[(usize, Fault)],
+    script: &str,
+) -> (String, u64) {
     let cfg = ServeConfig {
         batch_max: 4,
         threads: Some(threads),
+        faults: faults.to_vec(),
         ..ServeConfig::default()
     };
     let mut server = Server::new(eval, cfg).unwrap();
@@ -93,12 +98,10 @@ fn answers(transcript: &str) -> BTreeMap<u64, (String, Option<u64>)> {
 fn injected_panic_hits_one_dispatch_ordinal_and_nothing_else() {
     let eval = evaluator();
     let (script, ids) = script();
-    let baseline = answers(&run(&eval, 2, &script).0);
+    let baseline = answers(&run(&eval, 2, &[], &script).0);
 
     for threads in [1usize, 2, 4, 8] {
-        let _guard = fault::inject(&[(5usize, Fault::Panic)]);
-        let (transcript, faulted) = run(&eval, threads, &script);
-        drop(_guard);
+        let (transcript, faulted) = run(&eval, threads, &[(5, Fault::Panic)], &script);
         assert_eq!(faulted, 1, "{threads} threads");
         let got = answers(&transcript);
         for (slot, id) in ids.iter().enumerate() {
@@ -118,16 +121,12 @@ fn injected_panic_hits_one_dispatch_ordinal_and_nothing_else() {
     }
 }
 
-/// The base offset really is per-group: a plan index beyond every
-/// dispatched ordinal never fires, and serving resets the base so later
-/// standalone `QueryBatch` runs are not misaddressed.
+/// Plan ordinals beyond every dispatched request never fire.
 #[test]
-fn plan_indices_beyond_the_stream_never_fire_and_base_resets() {
+fn plan_indices_beyond_the_stream_never_fire() {
     let eval = evaluator();
     let (script, _ids) = script();
-    let _guard = fault::inject(&[(99usize, Fault::Panic)]);
-    let (transcript, faulted) = run(&eval, 2, &script);
+    let (transcript, faulted) = run(&eval, 2, &[(99, Fault::Panic)], &script);
     assert_eq!(faulted, 0);
     assert!(!transcript.contains("\"status\":\"error\""));
-    assert_eq!(fault::base(), 0, "serve must leave the base reset");
 }

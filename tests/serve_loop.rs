@@ -97,7 +97,7 @@ fn burst_config(threads: usize) -> ServeConfig {
         batch_max: 100,
         threads: Some(threads),
         budget: Budget::unlimited(),
-        summary_every: 0,
+        ..ServeConfig::default()
     }
 }
 
